@@ -22,11 +22,12 @@ is batched throughput >= 5x single.
 :class:`~repro.serve.http.AuditHTTPServer` driven through one
 keep-alive connection:
 
-* **v1 bulk** — ``POST /v1/score`` in fixed-size chunks (every key
-  rides the micro-batcher's Future machinery);
-* **v2 batch** — ``POST /v2/claims:batchScore`` over the same chunks
-  (precomputed keys take one vectorized gather, skipping the queue) —
-  the acceptance bar is v2 >= the v1 path;
+* **store** — the same key chunks through in-process
+  ``ModelVersion.score_keys`` (what the batch route calls), no wire;
+* **v2 batch** — ``POST /v2/claims:batchScore`` over the same chunks,
+  verified to return the in-process results; ``http_vs_store`` is HTTP
+  keys/s over in-process keys/s, so it exposes what the wire path
+  (JSON decode/encode, framing, dispatch) costs on top of the store;
 * **v2 list** — a cursor-paginated ``GET /v2/claims`` walk, recorded as
   rows/sec.
 
@@ -149,8 +150,9 @@ def run(quick: bool = False, service=None, build_s: float | None = None) -> list
     return results
 
 
-def _post_chunks(conn, path: str, chunks: list[bytes]) -> None:
+def _post_chunks(conn, path: str, chunks: list[bytes]) -> list[bytes]:
     """POST every chunk over one keep-alive connection; sanity-check 200s."""
+    payloads = []
     for body in chunks:
         conn.request(
             "POST", path, body=body, headers={"Content-Type": "application/json"}
@@ -161,11 +163,14 @@ def _post_chunks(conn, path: str, chunks: list[bytes]) -> None:
             raise AssertionError(
                 f"{path} returned {response.status}: {payload[:200]!r}"
             )
+        payloads.append(payload)
+    return payloads
 
 
 def run_http(quick: bool = False, service=None) -> list[dict]:
-    """The over-the-wire section: v1 bulk vs v2 batch, plus the paginated
-    list walk, through a live server on one keep-alive connection.
+    """The over-the-wire section: in-process ``score_keys`` vs the v2
+    batch route on the same chunks, plus the paginated list walk,
+    through a live server on one keep-alive connection.
 
     ``service`` shares an already-built world (see :func:`run`)."""
     import http.client
@@ -173,6 +178,7 @@ def run_http(quick: bool = False, service=None) -> list[dict]:
     import time
 
     from repro.serve import make_server
+    from repro.serve.schemas import ClaimKey
 
     own_service = service is None
     if own_service:
@@ -201,22 +207,30 @@ def run_http(quick: bool = False, service=None) -> list[dict]:
                 }
                 for r in rows
             ]
+            starts = range(0, n_lookups, chunk_rows)
             chunks = [
-                json.dumps(
-                    {"claims": keys[start : start + chunk_rows]}
-                ).encode()
-                for start in range(0, n_lookups, chunk_rows)
+                json.dumps({"claims": keys[start : start + chunk_rows]}).encode()
+                for start in starts
             ]
-            # Warm both endpoints once, then best-of-3 timed passes.
-            _post_chunks(conn, "/v1/score", chunks[:1])
+            key_chunks = [
+                [ClaimKey(**k) for k in keys[start : start + chunk_rows]]
+                for start in starts
+            ]
+            version = service.registry.default
+            # Warm both paths once, then best-of-3 timed passes.
+            version.score_keys(key_chunks[0])
             _post_chunks(conn, "/v2/claims:batchScore", chunks[:1])
-            v1_s, _ = _perfutil.timed(
-                lambda: _post_chunks(conn, "/v1/score", chunks), repeats=3
+            store_s, in_process = _perfutil.timed(
+                lambda: [version.score_keys(c)[0] for c in key_chunks], repeats=3
             )
-            v2_s, _ = _perfutil.timed(
+            v2_s, payloads = _perfutil.timed(
                 lambda: _post_chunks(conn, "/v2/claims:batchScore", chunks),
                 repeats=3,
             )
+            if [json.loads(p)["results"] for p in payloads] != in_process:
+                raise AssertionError(
+                    f"{name}: batchScore results differ from score_keys"
+                )
 
             # Cursor-paginated walk: follow next_cursor to the end (but cap
             # the walked rows at n_lookups to keep the pass bounded).
@@ -245,11 +259,11 @@ def run_http(quick: bool = False, service=None) -> list[dict]:
                 "n_claims": n_claims,
                 "n_lookups": n_lookups,
                 "batch_rows": chunk_rows,
-                "v1_bulk_seconds": v1_s,
+                "store_seconds": store_s,
                 "v2_batch_seconds": v2_s,
-                "v1_bulk_claims_per_s": n_lookups / v1_s,
+                "store_claims_per_s": n_lookups / store_s,
                 "v2_batch_claims_per_s": n_lookups / v2_s,
-                "batch_v2_vs_v1": v1_s / v2_s,
+                "http_vs_store": store_s / v2_s,
                 "page_limit": page_limit,
                 "paged_rows": paged_rows,
                 "list_rows_per_s": paged_rows / list_s,
@@ -257,21 +271,11 @@ def run_http(quick: bool = False, service=None) -> list[dict]:
             results.append(row)
             print(
                 f"{name:8s} http lookups={n_lookups:6d}  "
-                f"v1 {row['v1_bulk_claims_per_s']:10,.0f}/s  "
+                f"store {row['store_claims_per_s']:10,.0f}/s  "
                 f"v2 {row['v2_batch_claims_per_s']:10,.0f}/s  "
-                f"({row['batch_v2_vs_v1']:.2f}x)  "
+                f"(http_vs_store {row['http_vs_store']:.2f})  "
                 f"list {row['list_rows_per_s']:10,.0f} rows/s"
             )
-            # The committed (full-run) acceptance bar is v2 >= v1; quick
-            # CI replays tolerate some wall-clock noise — the halving
-            # guard in check_perf_regression.py still covers them.
-            floor = 0.8 if quick else 1.0
-            if row["batch_v2_vs_v1"] < floor:
-                raise AssertionError(
-                    f"{name}: v2 batch endpoint is slower than the v1 bulk "
-                    f"path ({row['batch_v2_vs_v1']:.2f}x; acceptance bar "
-                    f"is >= {floor}x)"
-                )
         conn.close()
     finally:
         server.shutdown()

@@ -8,7 +8,7 @@ Replays the quick variants of ``bench_perf_gbdt.py``,
 machine and compares the
 *speedup ratios* (vectorized kernel vs. seed reference, shared-binning
 tuning vs. per-trial binning, micro-batched vs. single-claim serving
-lookups, the v2 batch endpoint vs. the v1 bulk path over HTTP, shed
+lookups, HTTP batch scoring vs. the same keys in process, shed
 vs. unbounded p99 under 2x overload, the shard-parallel build vs.
 one worker, and bare vs. instrumented batch scoring, both sides
 measured fresh) against the committed
@@ -54,7 +54,7 @@ REQUIRED_SECTIONS = {
     "vectorize": ("vectorize_speedup", "python benchmarks/bench_perf_vectorize.py"),
     "bayesopt": ("tuning_speedup", "python benchmarks/bench_perf_bayesopt.py"),
     "serve": ("lookup_speedup", "python benchmarks/bench_perf_serve.py"),
-    "serve_http": ("batch_v2_vs_v1", "python benchmarks/bench_perf_serve.py"),
+    "serve_http": ("http_vs_store", "python benchmarks/bench_perf_serve.py"),
     "serve_latency": ("shed_containment", "python benchmarks/bench_perf_latency.py"),
     "shard": ("parallel_build_speedup", "python benchmarks/bench_perf_shard.py"),
     "obs": ("bare_vs_instrumented", "python benchmarks/bench_perf_obs.py"),
@@ -140,7 +140,7 @@ def main() -> int:
                 ("enrich", row["size"], expected, row["base_vs_enriched"])
             )
     serve_base = _baseline_speedups(baseline, "serve", "lookup_speedup")
-    http_base = _baseline_speedups(baseline, "serve_http", "batch_v2_vs_v1")
+    http_base = _baseline_speedups(baseline, "serve_http", "http_vs_store")
     latency_base = _baseline_speedups(
         baseline, "serve_latency", "shed_containment"
     )
@@ -160,7 +160,7 @@ def main() -> int:
             expected = http_base.get(row["size"])
             if expected is not None:
                 checks.append(
-                    ("serve_http", row["size"], expected, row["batch_v2_vs_v1"])
+                    ("serve_http", row["size"], expected, row["http_vs_store"])
                 )
         # The latency replay also re-asserts the absolute acceptance bar
         # (admitted p99 under 2x overload <= 5x unloaded p99) inside
@@ -205,8 +205,8 @@ def main() -> int:
         status = "ok" if fresh >= floor else "REGRESSED"
         failed |= fresh < floor
         print(
-            f"{section}/{size}: baseline {expected:.1f}x, fresh {fresh:.1f}x "
-            f"(floor {floor:.1f}x) -> {status}"
+            f"{section}/{size}: baseline {expected:.2f}x, fresh {fresh:.2f}x "
+            f"(floor {floor:.2f}x) -> {status}"
         )
     return 1 if failed else 0
 

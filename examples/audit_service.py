@@ -95,7 +95,7 @@ def main() -> None:
                 f"{rec.percentile:>6.1f}  {rec.cell:#x}"
             )
 
-        stats = client.stats()["batcher"]
+        stats = client.health()["batcher"]
         print(
             f"\nBatcher: {stats['requests']} requests, "
             f"{stats['batches']} vectorized batches, "

@@ -299,9 +299,6 @@ class AuditClient:
         hot-swap or store load is in flight."""
         return self._get("/readyz", deadline_s=deadline)
 
-    def stats(self) -> dict:
-        return self._get("/v1/stats")
-
     def models(self) -> dict:
         """Registry versions + per-version stats (``GET /v2/models``)."""
         return self._get("/v2/models")

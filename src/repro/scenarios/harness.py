@@ -36,6 +36,9 @@ property for :func:`repro.core.pipeline.build_world` itself.
 
 from __future__ import annotations
 
+import http.client
+import json
+import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -407,6 +410,154 @@ def _http_consistency(run: ScenarioRun, rows: np.ndarray) -> list[str]:
     return failures
 
 
+class _ResponseOracle:
+    """The one judge of chaos-run responses, for a server or a pool.
+
+    Drives a read mix (one precomputed claim, one page of the suspicion
+    walk, one batch) at ``127.0.0.1:port`` and classifies every
+    response.  ``versions`` maps each served version name to its
+    :class:`ClaimScoreStore` (the same claims under different margins).
+    ``cold_key``, when given, rides as the batch's last key: a claim
+    absent from the store, scored live as a hypothetical filing.
+
+    An outcome passes only if it is one of:
+
+    * **correct** — a 200 whose precomputed values match the store of
+      exactly the version named in its envelope (never a mix);
+    * **shed** — a 408, 429 or 503 carrying ``Retry-After``;
+    * **degraded** — a 200 batch with ``"degraded": true`` whose only
+      null slot is the cold key.
+
+    Anything else is recorded in :attr:`failures` (capped at 20).
+    """
+
+    def __init__(self, port: int, versions: dict, cold_key: dict | None = None):
+        self.port = port
+        self.versions = versions
+        self.cold_key = cold_key
+        store = next(iter(versions.values()))
+        self.rows = [int(r) for r in np.linspace(0, len(store) - 1, 8).astype(int)]
+        self.keys = [store.claims.key_at(r) for r in self.rows]
+        claims = [
+            {"provider_id": int(p), "cell": int(c), "technology": int(t)}
+            for p, c, t in self.keys
+        ]
+        if cold_key is not None:
+            claims.append(cold_key)
+        self.batch_body = json.dumps({"claims": claims}).encode()
+        self.failures: list[str] = []
+        self._lock = threading.Lock()
+
+    def fail(self, message: str) -> None:
+        with self._lock:
+            if len(self.failures) < 20:
+                self.failures.append(message)
+
+    def connect(self) -> http.client.HTTPConnection:
+        return http.client.HTTPConnection("127.0.0.1", self.port, timeout=10)
+
+    def request(self, conn, method: str, path: str, body: bytes | None = None):
+        headers = {"Content-Type": "application/json"} if body else {}
+        conn.request(method, path, body=body, headers=headers)
+        response = conn.getresponse()
+        raw = response.read()
+        if response.will_close:
+            conn.close()
+        try:
+            doc = json.loads(raw) if raw else None
+        except json.JSONDecodeError:
+            doc = None
+        return response.status, dict(response.getheaders()), doc
+
+    def judge(self, status: int, headers: dict, doc, where: str):
+        """The store of the version a 200 claims to serve, or ``None``
+        once a non-200 (shed or failure) or unknown version is judged."""
+        if status in (408, 429, 503):
+            if headers.get("Retry-After") is None:
+                self.fail(f"{where}: {status} response without Retry-After")
+            return None
+        if status != 200:
+            self.fail(f"{where}: unexpected status {status} ({doc})")
+            return None
+        version = doc.get("model_version") if isinstance(doc, dict) else None
+        store = self.versions.get(version)
+        if store is None:
+            self.fail(f"{where}: 200 without a known model version ({doc})")
+        return store
+
+    def read_once(self, conn, i: int) -> None:
+        """One claim read, one page read and one batch, each judged."""
+        row = self.rows[i % len(self.rows)]
+        p, c, t = self.keys[i % len(self.keys)]
+        status, headers, doc = self.request(
+            conn, "GET", f"/v2/claims/{int(p)}/{int(c)}/{int(t)}"
+        )
+        store = self.judge(status, headers, doc, "claim")
+        if store is not None and doc["record"]["margin"] != float(store.margin[row]):
+            self.fail(f"claim: margin does not match version {doc['model_version']!r}")
+        status, headers, doc = self.request(conn, "GET", "/v2/claims?limit=5")
+        store = self.judge(status, headers, doc, "page")
+        if store is not None:
+            expected = [float(store.margin[r]) for r in store.sus_order[:5]]
+            if [r["margin"] for r in doc["items"]] != expected:
+                self.fail(f"page: items mix versions under {doc['model_version']!r}")
+        status, headers, doc = self.request(
+            conn, "POST", "/v2/claims:batchScore", self.batch_body
+        )
+        store = self.judge(status, headers, doc, "batch")
+        if store is None:
+            return
+        results = doc["results"]
+        for j, result in enumerate(results[: len(self.keys)]):
+            if result is None:
+                self.fail("batch: precomputed slot came back null")
+            elif result["margin"] != float(store.margin[self.rows[j]]):
+                self.fail(
+                    "batch: precomputed slot does not match version "
+                    f"{doc['model_version']!r}"
+                )
+        cold_null = self.cold_key is not None and results[-1] is None
+        if cold_null and not doc.get("degraded"):
+            self.fail("batch: cold slot null without degraded: true")
+
+    def reader(self, iterations: int) -> None:
+        """``iterations`` rounds of :meth:`read_once` on one keep-alive
+        connection; a connection dropped under load (shed hygiene, a
+        killed worker) is reopened, not counted as a failure."""
+        conn = self.connect()
+        try:
+            for i in range(iterations):
+                try:
+                    self.read_once(conn, i)
+                except (http.client.HTTPException, OSError):
+                    conn.close()
+                    conn = self.connect()
+        finally:
+            conn.close()
+
+
+def _chaos_resilience():
+    """The tight admission gate and short deadlines both chaos runs use."""
+    from repro.serve.resilience import ResilienceConfig
+
+    return ResilienceConfig(
+        max_concurrent=2,
+        max_queue=2,
+        max_queue_wait_s=0.05,
+        default_deadline_s=2.0,
+        socket_timeout_s=5.0,
+        retry_after_s=1.0,
+    )
+
+
+def _run_threads(targets) -> None:
+    threads = [threading.Thread(target=t) for t in targets]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+
+
 def check_fault_invariants(
     store: ClaimScoreStore,
     classifier=None,
@@ -422,36 +573,21 @@ def check_fault_invariants(
     HTTP server configured with a **deterministic fault plan** at every
     serving seam, a hair-trigger circuit breaker, a tight admission gate,
     and short deadlines — while reader threads hammer the data routes and
-    a swapper thread flips the default version back and forth.
+    a swapper thread flips the default version back and forth.  Every
+    response must pass :class:`_ResponseOracle` (correct for exactly one
+    version, shed with ``Retry-After``, or degraded).
 
-    Every observed response must be one of:
-
-    * **correct** — a 200 whose precomputed values match the score store
-      of exactly the version named in its envelope (never a mix);
-    * **shed** — a 429 or 503 carrying ``Retry-After``;
-    * **degraded** — a 200 batch response with ``"degraded": true``
-      whose unscored slots are exactly the cold-capable keys.
-
-    A 500, a missing ``Retry-After``, or a mixed-version body is a
-    failure.  Returns violated invariants as messages (empty = pass).
+    Returns violated invariants as messages (empty = pass).
     """
-    import http.client as _http
-    import json as _json
-    import threading
-
     from repro.serve.http import make_server
     from repro.serve.registry import ModelRegistry
-    from repro.serve.resilience import (
-        CircuitBreaker,
-        ResilienceConfig,
-        chaos_plan,
-    )
+    from repro.serve.resilience import CircuitBreaker, chaos_plan
 
-    failures: list[str] = []
     flipped = ClaimScoreStore(store.claims, -store.margin)
-    plans = {"default": chaos_plan(plan_name), "flipped": chaos_plan(plan_name)}
+    versions = {"default": store, "flipped": flipped}
+    plans = {name: chaos_plan(plan_name) for name in versions}
     registry_ = ModelRegistry(max_delay_s=0.0005, cache_size=0)
-    for name, version_store in (("default", store), ("flipped", flipped)):
+    for name, version_store in versions.items():
         registry_.add(
             name,
             version_store,
@@ -462,36 +598,14 @@ def check_fault_invariants(
         )
     registry_.activate("default")
     service = AuditService.from_registry(registry_)
-    server = make_server(
-        service,
-        resilience=ResilienceConfig(
-            max_concurrent=2,
-            max_queue=2,
-            max_queue_wait_s=0.05,
-            default_deadline_s=2.0,
-            socket_timeout_s=5.0,
-            retry_after_s=1.0,
-        ),
-    )
+    server = make_server(service, resilience=_chaos_resilience())
     threading.Thread(target=server.serve_forever, daemon=True).start()
-    port = server.server_address[1]
 
-    margin_by_version = {
-        "default": store.margin,
-        "flipped": flipped.margin,
-    }
-    order_by_version = {
-        "default": store.sus_order,
-        "flipped": flipped.sus_order,
-    }
-    # A handful of precomputed keys, plus one cold-capable key (a
-    # technology no claim uses at this cell, scored as a hypothetical).
-    rows = [int(r) for r in np.linspace(0, len(store) - 1, 8).astype(int)]
-    keys = [store.claims.key_at(r) for r in rows]
+    # One cold-capable key: a technology no claim uses at the first
+    # probe's cell, scored as a hypothetical.
     cold_key = None
     if classifier is not None and builder is not None:
-        pid, cell, _tech = keys[0]
-        state = store.record(rows[0])["state"]
+        pid, cell, _tech = store.claims.key_at(0)
         for tech in (10, 40, 50, 70, 71):
             pos = store.positions(
                 np.array([pid]), np.array([cell], dtype=np.uint64), np.array([tech])
@@ -501,143 +615,38 @@ def check_fault_invariants(
                     "provider_id": int(pid),
                     "cell": int(cell),
                     "technology": int(tech),
-                    "state": str(state),
+                    "state": str(store.record(0)["state"]),
                 }
                 break
-    batch_body = _json.dumps(
-        {
-            "claims": [
-                {"provider_id": int(p), "cell": int(c), "technology": int(t)}
-                for p, c, t in keys
-            ]
-            + ([cold_key] if cold_key is not None else [])
-        }
-    ).encode()
-
-    lock = threading.Lock()
-
-    def fail(message: str) -> None:
-        with lock:
-            if len(failures) < 20:
-                failures.append(message)
-
-    def check_shed(status: int, headers, where: str) -> None:
-        if headers.get("Retry-After") is None:
-            fail(f"{where}: {status} response without Retry-After")
-
-    def classify(status: int, headers, doc, where: str) -> None:
-        """Everything that is not 200/shed/degraded is a violation."""
-        if status in (429, 503):
-            check_shed(status, headers, where)
-        elif status == 408:
-            pass  # slow-client timeout: valid shed outcome
-        elif status != 200:
-            fail(f"{where}: unexpected status {status} ({doc})")
-
-    def request(conn, method, path, body=None):
-        headers = {"Content-Type": "application/json"} if body else {}
-        conn.request(method, path, body=body, headers=headers)
-        response = conn.getresponse()
-        raw = response.read()
-        if response.will_close:
-            conn.close()
-        try:
-            doc = _json.loads(raw) if raw else None
-        except _json.JSONDecodeError:
-            doc = None
-        return response.status, dict(response.getheaders()), doc
-
-    def reader() -> None:
-        conn = _http.HTTPConnection("127.0.0.1", port, timeout=10)
-        try:
-            for i in range(iterations):
-                try:
-                    # One precomputed single-claim read.
-                    p, c, t = keys[i % len(keys)]
-                    status, headers, doc = request(
-                        conn, "GET", f"/v2/claims/{int(p)}/{int(c)}/{int(t)}"
-                    )
-                    classify(status, headers, doc, "claim")
-                    if status == 200:
-                        version = doc["model_version"]
-                        row = rows[i % len(keys)]
-                        if doc["record"]["margin"] != float(
-                            margin_by_version[version][row]
-                        ):
-                            fail(f"claim: margin does not match version {version!r}")
-                    # One page of the suspicion walk.
-                    status, headers, doc = request(
-                        conn, "GET", "/v2/claims?limit=5"
-                    )
-                    classify(status, headers, doc, "page")
-                    if status == 200:
-                        version = doc["model_version"]
-                        expected = [
-                            float(margin_by_version[version][r])
-                            for r in order_by_version[version][:5]
-                        ]
-                        if [r["margin"] for r in doc["items"]] != expected:
-                            fail(f"page: items mix versions under {version!r}")
-                    # One batch with a cold-capable tail key.
-                    status, headers, doc = request(
-                        conn, "POST", "/v2/claims:batchScore", batch_body
-                    )
-                    classify(status, headers, doc, "batch")
-                    if status == 200:
-                        version = doc["model_version"]
-                        margins = margin_by_version[version]
-                        for j, result in enumerate(doc["results"][: len(keys)]):
-                            if result is None:
-                                fail("batch: precomputed slot came back null")
-                            elif result["margin"] != float(margins[rows[j]]):
-                                fail(
-                                    "batch: precomputed slot does not match "
-                                    f"version {version!r}"
-                                )
-                        if cold_key is not None:
-                            cold_result = doc["results"][len(keys)]
-                            if cold_result is None and not doc.get("degraded"):
-                                fail(
-                                    "batch: cold slot null without "
-                                    "degraded: true"
-                                )
-                except (_http.HTTPException, OSError):
-                    # Connection closed under us (shed/timeout hygiene):
-                    # reconnect and continue — not a correctness failure.
-                    conn.close()
-                    conn = _http.HTTPConnection("127.0.0.1", port, timeout=10)
-        finally:
-            conn.close()
+    oracle = _ResponseOracle(server.server_address[1], versions, cold_key)
 
     def swapper() -> None:
-        conn = _http.HTTPConnection("127.0.0.1", port, timeout=10)
+        conn = oracle.connect()
         try:
             for i in range(n_swaps):
                 target = "flipped" if i % 2 == 0 else "default"
                 try:
-                    status, _headers, doc = request(
+                    status, _headers, doc = oracle.request(
                         conn, "POST", f"/v2/models/{target}:activate"
                     )
                     if status != 200:
-                        fail(f"activate: unexpected status {status} ({doc})")
-                except (_http.HTTPException, OSError):
+                        oracle.fail(f"activate: unexpected status {status} ({doc})")
+                except (http.client.HTTPException, OSError):
                     conn.close()
-                    conn = _http.HTTPConnection("127.0.0.1", port, timeout=10)
+                    conn = oracle.connect()
         finally:
             conn.close()
 
-    threads = [threading.Thread(target=reader) for _ in range(n_readers)]
-    threads.append(threading.Thread(target=swapper))
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        _run_threads(
+            [lambda: oracle.reader(iterations)] * n_readers + [swapper]
+        )
     finally:
         server.shutdown()
         server.server_close()
         service.close()
 
+    failures = oracle.failures
     fired = sum(
         seam["fired"] for plan in plans.values() for seam in plan.counts().values()
     )
@@ -667,9 +676,8 @@ def check_pool_fault_invariants(
     reader threads hammer the data routes, a swapper drives fleet-wide
     two-phase swaps, and a killer SIGKILLs live workers mid-traffic.
 
-    Invariants, on top of everything the single-process check demands
-    (never a 500, sheds carry ``Retry-After``, every 200 internally
-    consistent with exactly the version in its envelope):
+    Invariants, on top of every response passing
+    :class:`_ResponseOracle`:
 
     * a swap either commits on every worker or aborts on all of them —
       an abort caused by a mid-swap worker death is acceptable, a mixed
@@ -683,143 +691,21 @@ def check_pool_fault_invariants(
 
     Returns violated invariants as messages (empty = pass).
     """
-    import http.client as _http
-    import json as _json
     import os as _os
     import signal as _signal
-    import threading
 
-    from repro.serve.resilience import ResilienceConfig
     from repro.serve.workers import WorkerPool, WorkerVersionSpec
 
-    failures: list[str] = []
     flipped = ClaimScoreStore(store.claims, -store.margin)
-    default_dir = _os.path.join(workdir, "pool-default")
-    flipped_dir = _os.path.join(workdir, "pool-flipped")
-    store.save_sharded(default_dir, shards=1)
-    flipped.save_sharded(flipped_dir, shards=1)
-    specs = [
-        WorkerVersionSpec(
-            name="default", path=default_dir, chaos_plan=plan_name
-        ),
-        WorkerVersionSpec(
-            name="flipped", path=flipped_dir, chaos_plan=plan_name
-        ),
-    ]
-    pool = WorkerPool(
-        specs,
-        n_workers=n_workers,
-        resilience=ResilienceConfig(
-            max_concurrent=2,
-            max_queue=2,
-            max_queue_wait_s=0.05,
-            default_deadline_s=2.0,
-            socket_timeout_s=5.0,
-            retry_after_s=1.0,
-        ),
-    )
+    versions = {"default": store, "flipped": flipped}
+    specs = []
+    for name, version_store in versions.items():
+        path = _os.path.join(workdir, f"pool-{name}")
+        version_store.save_sharded(path, shards=1)
+        specs.append(WorkerVersionSpec(name=name, path=path, chaos_plan=plan_name))
+    pool = WorkerPool(specs, n_workers=n_workers, resilience=_chaos_resilience())
     pool.start()
-    port = pool.port
-
-    margin_by_version = {"default": store.margin, "flipped": flipped.margin}
-    order_by_version = {
-        "default": store.sus_order,
-        "flipped": flipped.sus_order,
-    }
-    rows = [int(r) for r in np.linspace(0, len(store) - 1, 8).astype(int)]
-    keys = [store.claims.key_at(r) for r in rows]
-    batch_body = _json.dumps(
-        {
-            "claims": [
-                {"provider_id": int(p), "cell": int(c), "technology": int(t)}
-                for p, c, t in keys
-            ]
-        }
-    ).encode()
-
-    lock = threading.Lock()
-
-    def fail(message: str) -> None:
-        with lock:
-            if len(failures) < 20:
-                failures.append(message)
-
-    def classify(status: int, headers, doc, where: str) -> None:
-        if status in (429, 503):
-            if headers.get("Retry-After") is None:
-                fail(f"{where}: {status} response without Retry-After")
-        elif status == 408:
-            pass  # slow-client timeout: valid shed outcome
-        elif status != 200:
-            fail(f"{where}: unexpected status {status} ({doc})")
-
-    def request(conn, method, path, body=None):
-        headers = {"Content-Type": "application/json"} if body else {}
-        conn.request(method, path, body=body, headers=headers)
-        response = conn.getresponse()
-        raw = response.read()
-        if response.will_close:
-            conn.close()
-        try:
-            doc = _json.loads(raw) if raw else None
-        except _json.JSONDecodeError:
-            doc = None
-        return response.status, dict(response.getheaders()), doc
-
-    def reader() -> None:
-        conn = _http.HTTPConnection("127.0.0.1", port, timeout=10)
-        try:
-            for i in range(iterations):
-                try:
-                    p, c, t = keys[i % len(keys)]
-                    status, headers, doc = request(
-                        conn, "GET", f"/v2/claims/{int(p)}/{int(c)}/{int(t)}"
-                    )
-                    classify(status, headers, doc, "claim")
-                    if status == 200:
-                        version = doc["model_version"]
-                        row = rows[i % len(keys)]
-                        if doc["record"]["margin"] != float(
-                            margin_by_version[version][row]
-                        ):
-                            fail(
-                                f"claim: margin does not match version "
-                                f"{version!r}"
-                            )
-                    status, headers, doc = request(
-                        conn, "GET", "/v2/claims?limit=5"
-                    )
-                    classify(status, headers, doc, "page")
-                    if status == 200:
-                        version = doc["model_version"]
-                        expected = [
-                            float(margin_by_version[version][r])
-                            for r in order_by_version[version][:5]
-                        ]
-                        if [r["margin"] for r in doc["items"]] != expected:
-                            fail(f"page: items mix versions under {version!r}")
-                    status, headers, doc = request(
-                        conn, "POST", "/v2/claims:batchScore", batch_body
-                    )
-                    classify(status, headers, doc, "batch")
-                    if status == 200:
-                        version = doc["model_version"]
-                        margins = margin_by_version[version]
-                        for j, result in enumerate(doc["results"]):
-                            if result is None:
-                                fail("batch: precomputed slot came back null")
-                            elif result["margin"] != float(margins[rows[j]]):
-                                fail(
-                                    "batch: precomputed slot does not match "
-                                    f"version {version!r}"
-                                )
-                except (_http.HTTPException, OSError):
-                    # Worker killed under us / connection shed: reconnect
-                    # and keep hammering — not a correctness failure.
-                    conn.close()
-                    conn = _http.HTTPConnection("127.0.0.1", port, timeout=10)
-        finally:
-            conn.close()
+    oracle = _ResponseOracle(pool.port, versions)
 
     def swapper() -> None:
         for i in range(n_swaps):
@@ -843,14 +729,11 @@ def check_pool_fault_invariants(
             except ProcessLookupError:
                 pass
 
-    threads = [threading.Thread(target=reader) for _ in range(n_readers)]
-    threads.append(threading.Thread(target=swapper))
-    threads.append(threading.Thread(target=killer))
+    failures = oracle.failures
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        _run_threads(
+            [lambda: oracle.reader(iterations)] * n_readers + [swapper, killer]
+        )
         # Respawn: every kill must be healed — the restart counter moved
         # and the fleet answers with a full complement again.  The
         # monitor detects deaths asynchronously, so wait for it.
@@ -887,17 +770,8 @@ def check_pool_fault_invariants(
                     )
         # Vacuousness check: the plans must verifiably fire *inside* the
         # workers.  Counts die with a killed process, so drive a little
-        # fresh traffic at the healed fleet before reading them.
-        conn = _http.HTTPConnection("127.0.0.1", port, timeout=10)
-        try:
-            for _ in range(2 * n_workers):
-                try:
-                    request(conn, "POST", "/v2/claims:batchScore", batch_body)
-                except (_http.HTTPException, OSError):
-                    conn.close()
-                    conn = _http.HTTPConnection("127.0.0.1", port, timeout=10)
-        finally:
-            conn.close()
+        # fresh (still judged) traffic at the healed fleet first.
+        oracle.reader(2 * n_workers)
         fired = sum(
             seam["fired"]
             for seams in pool.chaos_counts().values()

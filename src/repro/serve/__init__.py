@@ -36,8 +36,7 @@ Module                   Role
                                deadlines, a cold-path circuit breaker, and
                                deterministic fault injection for chaos tests
 :mod:`~repro.serve.http`       stdlib JSON HTTP API: versioned ``/v2``
-                               resource routes + frozen ``/v1`` adapters,
-                               behind the admission gate
+                               resource routes behind the admission gate
 :mod:`~repro.serve.workers`    :class:`WorkerPool` — pre-fork multi-process
                                serving over shared mmap'd stores
                                (``SO_REUSEPORT`` accept balancing, two-phase

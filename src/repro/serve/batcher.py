@@ -18,7 +18,8 @@ orders of magnitude below the cost of a 1-row call.  The
 The batcher is scorer-agnostic: it queues opaque payloads and delivers
 ``concurrent.futures.Future`` results, with the service supplying the
 ``score_batch(payloads) -> results`` callable.  ``flush()`` may be called
-directly for deterministic draining (the bulk path and the tests do).
+directly for deterministic draining (the batch endpoint's cold tail and
+the tests do).
 
 Requests may carry a :class:`~repro.serve.resilience.Deadline`: a slot
 whose every waiter has blown its budget by flush time is *dropped* —
@@ -52,10 +53,11 @@ class BatcherStats:
 
     The registry instruments (``batcher_*`` families) are the single
     source of truth; this class is the stable monitoring view the HTTP
-    API has always exposed (`/v1/stats`), with the same attribute names
-    and ``as_dict()`` keys as the pre-obs dataclass.  A batcher created
-    without an explicit registry gets a private one, so standalone
-    batchers never share series.
+    API exposes (the ``batcher`` block of ``/healthz`` and
+    ``/v2/models``), with the same attribute names and ``as_dict()``
+    keys as the pre-obs dataclass.  A batcher created without an
+    explicit registry gets a private one, so standalone batchers never
+    share series.
     """
 
     def __init__(
@@ -222,22 +224,6 @@ class MicroBatcher:
         if flush_now:
             self.flush()
         return fut
-
-    def score_many(
-        self,
-        payloads: list,
-        cache_keys: list | None = None,
-        deadline: Deadline | None = None,
-    ) -> list:
-        """Submit a burst and drain it in one flush; returns results in order."""
-        if cache_keys is None:
-            cache_keys = [None] * len(payloads)
-        futures = [
-            self.submit(payload, cache_key=key, deadline=deadline)
-            for payload, key in zip(payloads, cache_keys)
-        ]
-        self.flush()
-        return [fut.result() for fut in futures]
 
     # -- flushing -----------------------------------------------------------
 

@@ -54,12 +54,12 @@ Observability (:mod:`repro.obs`)
 --------------------------------
 
 Every request gets a generated ``request_id``, echoed in the
-``X-Request-Id`` response header, in non-v1 error bodies, and in the
+``X-Request-Id`` response header, in every error body, and in the
 structured access log (``verbose=True`` or the ``access_log`` sink).
 Per-route request counters and latency histograms land in the service's
-metric registry (``GET /metrics``).  Passing ``trace=1`` on a non-v1
-route returns the request's span tree (admission -> parse_body ->
-handler -> batcher/store spans) under a ``"trace"`` key.
+metric registry (``GET /metrics``).  Passing ``trace=1`` on any route
+returns the request's span tree (admission -> parse_body -> handler ->
+batcher/store spans) under a ``"trace"`` key.
 
 Overload safety (:mod:`repro.serve.resilience`)
 -----------------------------------------------
@@ -72,23 +72,15 @@ blown while queued or batched is dropped, not scored (503).  Cold-path
 scoring sits behind a **circuit breaker** — when it trips, batch
 responses degrade (``"degraded": true`` with ``None`` cold slots) rather
 than fail.  Slow clients hit the socket read timeout and get a 408.
-Meta routes (``/healthz``, ``/readyz``, ``/v2/models``, activation,
-``/v1/stats``) bypass admission: an operator must be able to observe and
+Meta routes (``/healthz``, ``/readyz``, ``/metrics``, ``/v2/models``,
+activation) bypass admission: an operator must be able to observe and
 fix an overloaded server *through* the overload.
 
-v1 routes (deprecated, frozen)
-------------------------------
-
-``/v1/stats``, ``/v1/claim``, ``/v1/top``, ``/v1/provider/{id}/summary``,
-``/v1/state/{abbr}/summary``, and ``POST /v1/score`` are kept as thin
-adapters over the same stack with **bitwise-identical** response bodies
-(pinned by the golden compatibility tests).  New clients should use v2:
-it adds pagination, model versioning, and typed schemas that v1 will
-never grow.
-
-Every failure is a JSON body ``{"error": "..."}`` — 400 for malformed
-parameters, bodies, or unknown states; 404 for unknown routes and
-claims; 413 for oversized bodies.  A traceback never reaches the wire.
+Every failure is a JSON body ``{"error": "...", "request_id": "..."}``
+— 400 for malformed parameters, bodies, or unknown states; 404 for
+unknown routes and claims; 411 for ``Transfer-Encoding`` framing (bodies
+need a ``Content-Length``); 413 for oversized bodies.  A traceback never
+reaches the wire.
 
 Example session (see ``examples/audit_service.py`` for a scripted one)::
 
@@ -111,7 +103,7 @@ from urllib.parse import parse_qs, unquote, urlsplit
 from repro.obs.metrics import MetricsRegistry, get_metrics, render_prometheus
 from repro.obs.trace import activate as activate_trace, new_request_id
 from repro.obs.trace import span as obs_span
-from repro.serve.registry import ModelVersion, state_index, validate_key_range
+from repro.serve.registry import ModelVersion, state_index
 from repro.serve.resilience import (
     AdmissionController,
     ColdPathDegraded,
@@ -125,10 +117,10 @@ from repro.serve.resilience import (
 from repro.serve.router import (
     ApiError,
     BadRequest,
+    LengthRequired,
     NotFound,
     PayloadTooLarge,
     QueryParam,
-    RequestTimeout,
     Router,
     parse_query,
 )
@@ -149,8 +141,7 @@ __all__ = [
     "build_router",
 ]
 
-#: Cap on top-k, page limits, and bulk-scoring request size — enforced
-#: uniformly across the v1 and v2 read/score endpoints.
+#: Cap on page limits and bulk-scoring request size.
 MAX_RESULT_ROWS = 10_000
 
 #: Cap on POST body size (a full 10k-claim bulk request fits comfortably).
@@ -243,48 +234,22 @@ class RequestContext:
             self._version.count_request()
         return self._version
 
-    def int_path(self, name: str, label: str | None = None) -> int:
-        raw = self.path[name]
+    def int_path(self, name: str) -> int:
         try:
-            return int(raw)
+            return int(self.path[name])
         except ValueError:
-            raise BadRequest(
-                f"{label or f'path parameter {name!r}'} must be an integer"
-            ) from None
+            raise BadRequest(f"path parameter {name!r} must be an integer") from None
 
 
 # -- shared pieces ------------------------------------------------------------
 
-_COLD_UNAVAILABLE = (
-    "cold-path scoring (state given) is unavailable: "
-    "service has no live feature builder"
-)
-
-_CLAIM_FILTERS = (
-    QueryParam("provider_id", "int"),
-    QueryParam("state"),
-    QueryParam("technology", "int"),
-    QueryParam("cell", "int"),
-)
-
 
 def _require_cold_path(ctx: RequestContext, state) -> None:
     if state is not None and not ctx.version.cold_path_available:
-        raise BadRequest(_COLD_UNAVAILABLE)
-
-
-def _claim_record(ctx: RequestContext, provider_id, cell, technology, state):
-    """Shared single-claim lookup; ``NotFound`` for unknown claims."""
-    _require_cold_path(ctx, state)
-    record = ctx.version.score_claim(
-        provider_id, cell, technology, state, deadline=ctx.deadline
-    )
-    if record is None:
-        raise NotFound(
-            "claim not in the score store (pass state=XX to score it "
-            "as a hypothetical filing)"
+        raise BadRequest(
+            "cold-path scoring (state given) is unavailable: "
+            "service has no live feature builder"
         )
-    return record
 
 
 # -- meta endpoints -----------------------------------------------------------
@@ -365,100 +330,50 @@ def _readyz(ctx: RequestContext):
     return readiness
 
 
-def _v1_stats(ctx: RequestContext):
-    return ctx.service.stats()
-
-
-# -- v1 adapters (frozen wire format) ----------------------------------------
-
-
-def _v1_claim(ctx: RequestContext):
-    q = ctx.query
-    return _claim_record(
-        ctx, q["provider_id"], q["cell"], q["technology"], q["state"]
-    )
-
-
-def _v1_top(ctx: RequestContext):
-    k = ctx.query["k"]
-    if not 0 <= k <= MAX_RESULT_ROWS:
-        raise BadRequest(f"k must be in [0, {MAX_RESULT_ROWS}]")
-    return {
-        "results": ctx.service.top_suspicious(
-            k=k,
-            provider_id=ctx.query["provider_id"],
-            state=ctx.query["state"],
-            technology=ctx.query["technology"],
-            cell=ctx.query["cell"],
-            version=ctx.version.name,
-        )
-    }
-
-
-def _v1_provider_summary(ctx: RequestContext):
-    pid = ctx.int_path("provider_id", label="provider id")
-    return ctx.service.provider_summary(pid, version=ctx.version.name)
-
-
-def _v1_state_summary(ctx: RequestContext):
-    return ctx.service.state_summary(ctx.path["abbr"], version=ctx.version.name)
-
-
-def _v1_score(ctx: RequestContext):
-    doc = ctx.body
-    if not isinstance(doc, dict):
-        raise BadRequest('body must be a JSON object {"claims": [...]}')
-    claims = doc.get("claims")
-    if not isinstance(claims, list):
-        raise BadRequest('body must be {"claims": [...]}')
-    if len(claims) > MAX_RESULT_ROWS:
-        raise BadRequest(f"at most {MAX_RESULT_ROWS} claims per request")
-    payloads = []
-    for entry in claims:
-        if not isinstance(entry, dict):
-            raise BadRequest("each claim must be an object")
-        state = entry.get("state")
-        if state is not None and not isinstance(state, str):
-            raise BadRequest("claim state must be a string state abbreviation")
-        try:
-            payload = (
-                int(entry["provider_id"]),
-                int(entry["cell"]),
-                int(entry["technology"]),
-                state,
-            )
-        except (KeyError, TypeError, ValueError):
-            raise BadRequest(
-                "each claim needs integer provider_id, cell, and technology"
-            ) from None
-        # Range-check before the batcher: an out-of-range key reaching
-        # the coalesced scorer would 500 and poison its batchmates.
-        try:
-            validate_key_range(*payload[:3])
-        except ValueError as exc:
-            raise BadRequest(str(exc)) from None
-        payloads.append(payload)
-    _require_cold_path(
-        ctx, next((p[3] for p in payloads if p[3] is not None), None)
-    )
-    results = ctx.version.batcher.score_many(
-        payloads, cache_keys=payloads, deadline=ctx.deadline
-    )
-    return {"results": results}
-
-
 # -- v2 resource routes -------------------------------------------------------
 
 
 def _v2_claim(ctx: RequestContext):
-    record = _claim_record(
-        ctx,
+    state = ctx.query["state"]
+    _require_cold_path(ctx, state)
+    record = ctx.version.score_claim(
         ctx.int_path("provider_id"),
         ctx.int_path("cell"),
         ctx.int_path("technology"),
-        ctx.query["state"],
+        state,
+        deadline=ctx.deadline,
     )
+    if record is None:
+        raise NotFound(
+            "claim not in the score store (pass state=XX to score it "
+            "as a hypothetical filing)"
+        )
     return {"record": record, "model_version": ctx.version.name}
+
+
+def _resume_rank(ctx: RequestContext, fingerprint: str) -> int:
+    """Where a paginated walk resumes: rank 0 without a cursor, else the
+    cursor's rank once it is proven to belong to this model version,
+    this store build (etag), and this filter set."""
+    token = ctx.query["cursor"]
+    if token is None:
+        return 0
+    version = ctx.version
+    cursor = decode_cursor(token)
+    if cursor.version != version.name:
+        raise BadRequest(
+            f"cursor was issued for model version {cursor.version!r} "
+            f"but the current default is {version.name!r}; restart "
+            "the walk"
+        )
+    if cursor.etag != version.store.etag:
+        raise BadRequest(
+            f"cursor was issued for a different build of model "
+            f"version {version.name!r}; restart the walk"
+        )
+    if cursor.fingerprint != fingerprint:
+        raise BadRequest("cursor does not match the request filters")
+    return cursor.rank
 
 
 def _v2_claims_list(ctx: RequestContext):
@@ -475,26 +390,8 @@ def _v2_claims_list(ctx: RequestContext):
         cell=ctx.query["cell"],
     )
     store = version.store
-    after_rank = 0
-    token = ctx.query["cursor"]
-    if token is not None:
-        cursor = decode_cursor(token)
-        if cursor.version != version.name:
-            raise BadRequest(
-                f"cursor was issued for model version {cursor.version!r} "
-                f"but the current default is {version.name!r}; restart "
-                "the walk"
-            )
-        if cursor.etag != store.etag:
-            raise BadRequest(
-                f"cursor was issued for a different build of model "
-                f"version {version.name!r}; restart the walk"
-            )
-        if cursor.fingerprint != fingerprint:
-            raise BadRequest("cursor does not match the request filters")
-        after_rank = cursor.rank
     rows, next_rank, total = store.page_suspicious(
-        after_rank=after_rank,
+        after_rank=_resume_rank(ctx, fingerprint),
         limit=limit,
         provider_id=ctx.query["provider_id"],
         state_idx=state_idx,
@@ -559,26 +456,11 @@ def _v2_priority(ctx: RequestContext):
     # "resource" keys the fingerprint so a claims-walk cursor carrying
     # only a state filter can never validate against this route.
     fingerprint = filter_fingerprint(resource="priority", state_idx=state_idx)
-    after_rank = 0
-    token = ctx.query["cursor"]
-    if token is not None:
-        cursor = decode_cursor(token)
-        if cursor.version != version.name:
-            raise BadRequest(
-                f"cursor was issued for model version {cursor.version!r} "
-                f"but the current default is {version.name!r}; restart "
-                "the walk"
-            )
-        if cursor.etag != store.etag:
-            raise BadRequest(
-                f"cursor was issued for a different build of model "
-                f"version {version.name!r}; restart the walk"
-            )
-        if cursor.fingerprint != fingerprint:
-            raise BadRequest("cursor does not match the request filters")
-        after_rank = cursor.rank
     records, next_rank, total = ctx.service.priority_page(
-        after_rank=after_rank, limit=limit, state=state, version=version.name
+        after_rank=_resume_rank(ctx, fingerprint),
+        limit=limit,
+        state=state,
+        version=version.name,
     )
     next_cursor = (
         None
@@ -619,7 +501,7 @@ def _v2_activate(ctx: RequestContext):
 
 
 def build_router() -> Router:
-    """The full route table: v2 resources plus the frozen v1 adapters."""
+    """The full route table: meta routes plus the v2 resources."""
     router = Router()
     router.add("GET", "/healthz", _healthz, admit=False)
     router.add("GET", "/readyz", _readyz, admit=False)
@@ -641,8 +523,11 @@ def build_router() -> Router:
         "GET",
         "/v2/claims",
         _v2_claims_list,
-        query=_CLAIM_FILTERS
-        + (
+        query=(
+            QueryParam("provider_id", "int"),
+            QueryParam("state"),
+            QueryParam("technology", "int"),
+            QueryParam("cell", "int"),
             QueryParam("limit", "int", default=DEFAULT_PAGE_LIMIT),
             QueryParam("cursor"),
         ),
@@ -662,42 +547,6 @@ def build_router() -> Router:
     router.add("GET", "/v2/states/{abbr}", _v2_state)
     router.add("GET", "/v2/models", _v2_models, admit=False)
     router.add("POST", "/v2/models/{name}:activate", _v2_activate, admit=False)
-    # v1 — deprecated thin adapters, bitwise-frozen responses.
-    router.add("GET", "/v1/stats", _v1_stats, admit=False)
-    router.add(
-        "GET",
-        "/v1/claim",
-        _v1_claim,
-        query=(
-            QueryParam("provider_id", "int", required=True),
-            QueryParam("cell", "int", required=True),
-            QueryParam("technology", "int", required=True),
-            QueryParam("state"),
-        ),
-    )
-    router.add(
-        "GET",
-        "/v1/top",
-        _v1_top,
-        query=(QueryParam("k", "int", default=10),) + _CLAIM_FILTERS,
-    )
-    # ``:path`` captures + raw (undecoded) segments keep the old
-    # prefix/suffix matching exactly: degenerate paths
-    # (/v1/provider//summary, /v1/provider/1/2/summary) stay 400s with
-    # the historical messages, and percent-escapes are not interpreted.
-    router.add(
-        "GET",
-        "/v1/provider/{provider_id:path}/summary",
-        _v1_provider_summary,
-        decode_path=False,
-    )
-    router.add(
-        "GET",
-        "/v1/state/{abbr:path}/summary",
-        _v1_state_summary,
-        decode_path=False,
-    )
-    router.add("POST", "/v1/score", _v1_score)
     return router
 
 
@@ -776,7 +625,6 @@ class _AuditRequestHandler(BaseHTTPRequestHandler):
     #: class-level defaults keep early failure paths safe).
     _request_id: str | None = None
     _obs_status: int = 500
-    _frozen_v1: bool = False
 
     # -- plumbing -----------------------------------------------------------
 
@@ -822,13 +670,10 @@ class _AuditRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _error(self, status: int, message: str, headers: dict | None = None) -> None:
-        payload: dict = {"error": message}
-        # The v1 wire format is frozen at exactly {"error": "..."} (golden
-        # tests); everywhere else the error body echoes the request id so
-        # a shed/timeout is correlatable with the access log.
-        if self._request_id is not None and not self._frozen_v1:
-            payload["request_id"] = self._request_id
-        self._send_json(status, payload, headers=headers)
+        # The request id makes a shed/timeout correlatable with the log.
+        self._send_json(
+            status, {"error": message, "request_id": self._request_id}, headers
+        )
 
     def _retry_after(self, exc: Exception | None = None) -> dict:
         """``Retry-After`` header for shed/unavailable responses.
@@ -925,7 +770,6 @@ class _AuditRequestHandler(BaseHTTPRequestHandler):
         url = urlsplit(self.path)
         self._request_id = new_request_id()
         self._obs_status = 500
-        self._frozen_v1 = url.path.startswith("/v1/")
         # The matched route's name; "unmatched" keeps 404 noise from
         # exploding the per-route label cardinality.
         route_label = "unmatched"
@@ -937,27 +781,28 @@ class _AuditRequestHandler(BaseHTTPRequestHandler):
         ticket = None
         try:
             try:
+                if self.headers.get("Transfer-Encoding") is not None:
+                    # No chunked decoding here: the unread chunks would be
+                    # parsed as the next request line, so refuse and close.
+                    self.close_connection = True
+                    body_pending = False
+                    raise LengthRequired(
+                        "Transfer-Encoding is not supported; send the body "
+                        "with a Content-Length"
+                    )
                 matched = self.server.router.match(method, url.path)
                 if matched is None:
-                    if body_pending:
-                        self._discard_body()
-                    self._error(404, f"no route for {url.path}")
-                    return
+                    raise NotFound(f"no route for {url.path}")
                 route, path_params = matched
                 route_label = route.name
-                if route.decode_path:
-                    # Captured segments arrive percent-encoded (the SDK
-                    # quotes them); decode like parse_qs does for query
-                    # values.  The frozen v1 routes opt out.
-                    path_params = {k: unquote(v) for k, v in path_params.items()}
+                # Captured segments arrive percent-encoded (the SDK quotes
+                # them); decode like parse_qs does for query values.
+                path_params = {k: unquote(v) for k, v in path_params.items()}
                 raw_query = parse_qs(url.query)
                 query = parse_query(raw_query, route.query)
-                # ``?trace=1`` opts a (non-frozen) route into request
-                # tracing: the span tree rides back on the response body.
-                want_trace = (
-                    not self._frozen_v1
-                    and raw_query.get("trace", ["0"])[-1] in ("1", "true")
-                )
+                # ``?trace=1`` opts any route into request tracing: the
+                # span tree rides back on the response body.
+                want_trace = raw_query.get("trace", ["0"])[-1] in ("1", "true")
                 tracing = activate_trace(self._request_id) if want_trace else None
                 tracer = tracing.__enter__() if tracing is not None else None
                 try:

@@ -264,18 +264,16 @@ class ModelVersion:
         """Score typed claim keys: one vectorized gather for precomputed
         keys, with cold-capable misses riding the micro-batcher.
 
-        The v2 batch-endpoint path: unlike the v1 bulk path (every key
-        through the batcher's Future machinery), keys already in the
-        store skip the queue entirely.
+        The batch-endpoint path: keys already in the store skip the
+        batcher's Future machinery entirely.
 
         Returns ``(results, degraded)``.  ``degraded`` flips when cold
         slots could not be scored for *infrastructure* reasons — the
         circuit breaker is open, the request's budget ran out before the
         cold flush, or an injected fault hit the scorer: those slots
         resolve to ``None`` and the precomputed remainder still serves.
-        A cold slot whose live scoring fails on *bad data* still raises,
-        deliberately matching the v1 bulk path — client errors are 400s,
-        not silent gaps.
+        A cold slot whose live scoring fails on *bad data* still raises:
+        client errors are 400s, not silent gaps.
         """
         if not keys:
             return [], False

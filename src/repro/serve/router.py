@@ -1,31 +1,27 @@
 """Declarative HTTP routing for the audit API.
 
-The v1 server dispatched with hand-rolled ``do_GET``/``do_POST`` if/else
-chains over raw query dicts; this module replaces that with a declarative
-route table: each :class:`Route` is a (method, path pattern, typed
-query-param spec, handler) row, and :class:`Router` matches an incoming
-request to exactly one row plus its extracted path parameters.
+A declarative route table: each :class:`Route` is a (method, path
+pattern, typed query-param spec, handler) row, and :class:`Router`
+matches an incoming request to exactly one row plus its extracted path
+parameters.
 
 Path patterns use ``{param}`` captures (``/v2/claims/{provider_id}/{cell}
 /{technology}``); literal text — including Google-style custom-method
-suffixes like ``/v2/claims:batchScore`` — matches verbatim.  A plain
-capture never spans a ``/``; a ``{param:path}`` capture spans anything
-(including nothing), which the frozen v1 summary adapters use to keep
-their historical prefix/suffix matching — degenerate paths like
-``/v1/provider//summary`` must keep answering 400 (bad id), not 404.
+suffixes like ``/v2/claims:batchScore`` — matches verbatim.  A capture
+matches one non-empty path segment: it never spans a ``/``.
 
 Query parameters are *specified*, not fished out of the dict ad hoc:
 each :class:`QueryParam` declares a name, a type (``int`` or ``str``),
 and required/default semantics.  :func:`parse_query` enforces the spec —
 including rejecting **repeated** parameters (``?state=TX&state=CA``),
-which the old ``_str_param`` helpers silently resolved to the first
-value.
+which would otherwise be ambiguous.
 
 Failures are typed: :class:`BadRequest` (400), :class:`NotFound` (404),
-:class:`RequestTimeout` (408), and :class:`PayloadTooLarge` (413) all
-derive from :class:`ApiError`, which carries the HTTP status the server
-maps the message to.  The overload statuses (429/503) live in
-:mod:`repro.serve.resilience`, next to the machinery that raises them.
+:class:`RequestTimeout` (408), :class:`LengthRequired` (411), and
+:class:`PayloadTooLarge` (413) all derive from :class:`ApiError`, which
+carries the HTTP status the server maps the message to.  The overload
+statuses (429/503) live in :mod:`repro.serve.resilience`, next to the
+machinery that raises them.
 """
 
 from __future__ import annotations
@@ -37,6 +33,7 @@ from typing import Callable
 __all__ = [
     "ApiError",
     "BadRequest",
+    "LengthRequired",
     "NotFound",
     "PayloadTooLarge",
     "QueryParam",
@@ -69,6 +66,12 @@ class RequestTimeout(ApiError):
     """The client stalled sending its request body -> 408."""
 
     status = 408
+
+
+class LengthRequired(ApiError):
+    """A body framed without ``Content-Length`` (chunked) -> 411."""
+
+    status = 411
 
 
 class PayloadTooLarge(ApiError):
@@ -123,24 +126,21 @@ def parse_query(params: dict[str, list[str]], spec: tuple[QueryParam, ...]) -> d
     return out
 
 
-#: ``{param}`` / ``{param:path}`` captures inside a path pattern.
-_CAPTURE_RE = re.compile(r"\{([a-zA-Z_][a-zA-Z0-9_]*)(:path)?\}")
+#: ``{param}`` captures inside a path pattern.
+_CAPTURE_RE = re.compile(r"\{([a-zA-Z_][a-zA-Z0-9_]*)\}")
 
 
 def _compile_pattern(pattern: str) -> re.Pattern:
     """Compile ``/v2/claims/{provider_id}/...`` into an anchored regex.
 
-    Plain captures are non-greedy and stop at ``/``, so a literal suffix
-    after a capture (``/{name}:activate``) stays out of the captured
-    value; ``{param:path}`` captures greedily across anything, empty
-    included.
+    Captures are non-greedy and stop at ``/``, so a literal suffix after
+    a capture (``/{name}:activate``) stays out of the captured value.
     """
     parts: list[str] = []
     pos = 0
     for match in _CAPTURE_RE.finditer(pattern):
         parts.append(re.escape(pattern[pos : match.start()]))
-        body = ".*" if match.group(2) else "[^/]+?"
-        parts.append(f"(?P<{match.group(1)}>{body})")
+        parts.append(f"(?P<{match.group(1)}>[^/]+?)")
         pos = match.end()
     parts.append(re.escape(pattern[pos:]))
     return re.compile("^" + "".join(parts) + "$")
@@ -155,10 +155,6 @@ class Route:
     handler: Callable
     query: tuple[QueryParam, ...] = ()
     name: str = ""
-    #: Percent-decode captured path segments before the handler runs.
-    #: The frozen v1 adapters turn this off: their historical dispatch
-    #: saw raw segments, and their wire behavior must not move.
-    decode_path: bool = True
     #: Subject to admission control.  Meta routes (health, readiness,
     #: model listing/activation) opt out: an operator must be able to
     #: observe and fix an overloaded server *through* the overload.
@@ -182,7 +178,6 @@ class Router:
         handler: Callable,
         query: tuple[QueryParam, ...] = (),
         name: str = "",
-        decode_path: bool = True,
         admit: bool = True,
     ) -> Route:
         route = Route(
@@ -191,7 +186,6 @@ class Router:
             handler=handler,
             query=tuple(query),
             name=name or pattern,
-            decode_path=decode_path,
             admit=admit,
         )
         self._routes.append(route)

@@ -3,8 +3,7 @@
 Every payload that crosses the HTTP boundary has a frozen dataclass here
 with explicit validation and a canonical JSON encoding, shared by the
 server (:mod:`repro.serve.http`), the service facade, and the Python SDK
-(:mod:`repro.client`) — replacing the ad-hoc dicts the v1 layer passed
-around.  Validation failures raise :class:`SchemaError` (a ``ValueError``
+(:mod:`repro.client`).  Validation failures raise :class:`SchemaError` (a ``ValueError``
 subclass), which the HTTP layer maps to a 400 with the message as the
 error body.
 
@@ -19,7 +18,7 @@ Type                        Wire shape
 :class:`BatchScoreRequest`  ``{"claims": [ClaimKey, ...]}``
 :class:`BatchScoreResponse` ``{"results": [ScoreRecord|null, ...],
                             "model_version", "degraded"}``
-:class:`ErrorBody`          ``{"error": "..."}`` (v1 and v2 share it)
+:class:`ErrorBody`          ``{"error": "...", "request_id": "..."}``
 ==========================  ==================================================
 
 Cursors (:func:`encode_cursor` / :func:`decode_cursor`) are opaque
@@ -168,10 +167,9 @@ class ScoreRecord:
     def to_dict(self) -> dict:
         """Canonical JSON object (bitwise-stable key order).
 
-        The key order matches the v1 wire format exactly — claim
-        aggregates (when present) sit between ``rank`` and
-        ``precomputed`` — so the v1 adapters and the v2 routes share one
-        encoder.
+        Claim aggregates (when present) sit between ``rank`` and
+        ``precomputed``; the store's cached JSON fragments and every
+        route share this one key order.
         """
         doc = {
             "provider_id": self.provider_id,
@@ -284,12 +282,12 @@ class Page:
 
 @dataclass(frozen=True)
 class ErrorBody:
-    """The uniform failure payload: ``{"error": "..."}``.
+    """The uniform failure payload: ``{"error": "...", "request_id": "..."}``.
 
-    v2 responses additionally carry the server-generated ``request_id``
-    (also echoed in the ``X-Request-Id`` header and the access log) so a
-    failure can be correlated end to end; the frozen v1 wire format
-    stays exactly ``{"error": "..."}``.
+    The server-generated ``request_id`` (also echoed in the
+    ``X-Request-Id`` header and the access log) lets a failure be
+    correlated end to end.  It is optional here only so a body from a
+    proxy in front of the server still parses.
     """
 
     error: str

@@ -399,17 +399,7 @@ class AuditService:
 
         return _slice_report(self.model, observations, slice_name, **kwargs)
 
-    # -- monitoring ---------------------------------------------------------
-
-    def stats(self) -> dict:
-        """Default-version counters (the ``/v1/stats`` payload)."""
-        version = self.registry.default
-        return {
-            "n_claims": len(version.store),
-            "threshold": self.threshold,
-            "cold_path_available": version.cold_path_available,
-            "batcher": version.batcher.stats.as_dict(),
-        }
+    # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
         self.registry.close()

@@ -372,19 +372,19 @@ class WorkerPool:
         """Watch process sentinels; respawn dead workers with backoff."""
         while not self._stop_event.is_set():
             with self._workers_lock:
-                sentinels = {
-                    w.process.sentinel: w
-                    for w in self._workers
-                    if w.process is not None and w.process.is_alive()
-                }
-            if not sentinels:
-                if self._stop_event.wait(0.05):
-                    return
-                continue
-            for sentinel in _sentinel_wait(list(sentinels), timeout=0.2):
+                workers = [w for w in self._workers if w.process is not None]
+            # A respawn killed before its ready handshake is already dead
+            # here; its sentinel would never fire again, so pick it up
+            # directly instead of waiting on the live ones.
+            dead = [w for w in workers if not w.process.is_alive()]
+            if not dead:
+                sentinels = {w.process.sentinel: w for w in workers}
+                ready = _sentinel_wait(list(sentinels), timeout=0.2)
+                dead = [sentinels[sentinel] for sentinel in ready]
+            for worker in dead:
                 if self._stop_event.is_set():
                     return
-                self._respawn(sentinels[sentinel])
+                self._respawn(worker)
 
     def _respawn(self, worker: _Worker) -> None:
         process = worker.process
@@ -407,7 +407,17 @@ class WorkerPool:
         if self._stop_event.wait(delay):
             return
         self._spawn(worker)
-        worker.ready.wait(timeout=30.0)
+        # Wait for the ready handshake, but not past the new process's
+        # death: a worker killed while starting never reports ready, and
+        # the monitor must get back to respawning it.
+        deadline = time.monotonic() + 30.0
+        while not worker.ready.wait(timeout=0.05):
+            if (
+                not worker.process.is_alive()
+                or time.monotonic() > deadline
+                or self._stop_event.is_set()
+            ):
+                break
         self._workers_g.set(self._live_count())
 
     def _live_count(self) -> int:

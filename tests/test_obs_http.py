@@ -5,13 +5,14 @@ and Prometheus text (every exposed family declared in the catalog), a
 traced ``POST /v2/claims:batchScore`` returns a span tree covering
 admission -> body parse -> handler -> store lookup -> batcher flush ->
 cold score, the generated request id is echoed in the ``X-Request-Id``
-header / non-v1 error bodies / the structured access log, ``/healthz``
+header / every error body / the structured access log, ``/healthz``
 keeps its pre-observability keys while gaining metric snapshots, and
 concurrent scoring loses no counter increments.
 """
 
 import http.client
 import json
+import re
 import threading
 import time
 
@@ -186,16 +187,20 @@ def test_untraced_requests_carry_no_trace(served, tiny_score_store):
     assert status == 200 and "trace" not in doc
 
 
-def test_v1_routes_ignore_trace(served, tiny_score_store):
-    """The frozen v1 wire format must not grow a trace key."""
+def test_trace_applies_to_every_route(served, tiny_score_store):
+    """``?trace=1`` is one rule: any route that answers a JSON object
+    returns its span tree, meta routes included."""
     server, _service, _entries = served
     pid, cell, tech = _known_key(tiny_score_store)
-    status, _headers, doc = _json(
-        server,
-        "GET",
-        f"/v1/claim?provider_id={pid}&cell={cell}&technology={tech}&trace=1",
-    )
-    assert status == 200 and "trace" not in doc
+    for path in (
+        f"/v2/claims/{pid}/{cell}/{tech}?trace=1",
+        f"/v2/providers/{pid}?trace=1",
+        "/healthz?trace=1",
+        "/v2/models?trace=1",
+    ):
+        status, headers, doc = _json(server, "GET", path)
+        assert status == 200, path
+        assert doc["trace"]["request_id"] == headers["X-Request-Id"], path
 
 
 # -- request id echo ----------------------------------------------------------
@@ -211,15 +216,58 @@ def test_request_id_header_and_v2_error_body(served):
     assert doc2["request_id"] != doc["request_id"]
 
 
-def test_v1_error_body_stays_frozen(served):
-    """v1 errors keep the golden ``{"error": ...}`` shape bitwise; the
-    request id rides only in the header."""
+def test_v1_paths_are_json_404s(served):
+    """The retired v1 surface answers like any unknown route."""
     server, _service, _entries = served
-    status, headers, raw = _raw(server, "GET", "/v1/claim")
-    assert status == 400
-    doc = json.loads(raw)
-    assert sorted(doc) == ["error"]
-    assert headers.get("X-Request-Id")
+    status, headers, doc = _json(server, "GET", "/v1/claim")
+    assert status == 404 and "no route" in doc["error"]
+    assert doc["request_id"] == headers["X-Request-Id"]
+
+
+def _error_requests():
+    """One failing request per route of the table, plus the failures
+    that happen before or without a route match."""
+    from repro.serve.http import build_router
+
+    sample = {"provider_id": "1", "cell": "2", "technology": "3",
+              "abbr": "TX", "name": "default"}
+    # An unparseable deadline header fails every matched route with a
+    # 400 before its handler runs.
+    bad_deadline = {"X-Request-Deadline-Ms": "soon"}
+    for route in build_router().routes:
+        path = re.sub(r"\{(\w+)\}", lambda m: sample[m.group(1)], route.pattern)
+        yield route.method, path, None, bad_deadline
+    yield "GET", "/v2/claims/abc/2/3", None, {}
+    yield "GET", "/v2/claims/1/2/3", None, {}  # unknown claim: 404
+    yield "GET", "/v2/states/NOWHERE", None, {}
+    yield "GET", "/nope", None, {}
+    yield "POST", "/v2/claims:batchScore", b"{not json", {}
+    yield "POST", "/v2/claims:batchScore", b"{}", {"Content-Length": "-5"}
+    yield "POST", "/v2/models/missing:activate", None, {}
+    yield "POST", "/v2/claims:batchScore", b"{}", {"Transfer-Encoding": "chunked"}
+    yield "POST", "/v2/claims:batchScore", b"", {"Content-Length": str(2**30)}
+
+
+def test_every_error_body_is_error_and_request_id(served):
+    """The one error shape: exactly ``{"error", "request_id"}``, with the
+    id echoed in ``X-Request-Id`` — on every route and every error status."""
+    server, _service, _entries = served
+    statuses = set()
+    host, port = server.server_address[:2]
+    for method, path, body, headers in _error_requests():
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request(method, path, body=body, headers=headers)
+            response = conn.getresponse()
+            doc = json.loads(response.read())
+        finally:
+            conn.close()
+        where = f"{method} {path}"
+        assert response.status >= 400, where
+        assert set(doc) == {"error", "request_id"}, where
+        assert doc["request_id"] == response.getheader("X-Request-Id"), where
+        statuses.add(response.status)
+    assert statuses == {400, 404, 411, 413}
 
 
 def _logged(entries, request_id, timeout_s=5.0):

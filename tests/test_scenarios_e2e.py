@@ -64,7 +64,7 @@ def test_smoke_scenario_service_answers_summaries(scenario_suite):
     assert summary["n_claims"] == run.metrics.n_injected
     assert summary["mean_score"] > 0.0
     assert summary["top_claims"], "injected provider has no top claims"
-    stats = run.service.stats()
+    (stats,) = run.service.registry.describe()["versions"]
     assert stats["n_claims"] == run.metrics.n_claims
 
 

@@ -24,10 +24,18 @@ def make(scorer, **kw):
     return MicroBatcher(scorer, **kw)
 
 
+def score_many(batcher, payloads, cache_keys=None):
+    """Submit a burst and drain it in one flush; results in order."""
+    keys = cache_keys if cache_keys is not None else [None] * len(payloads)
+    futures = [batcher.submit(p, cache_key=k) for p, k in zip(payloads, keys)]
+    batcher.flush()
+    return [fut.result() for fut in futures]
+
+
 def test_score_many_is_one_batch():
     scorer = CountingScorer()
     batcher = make(scorer)
-    results = batcher.score_many(list(range(50)))
+    results = score_many(batcher, list(range(50)))
     assert results == [p * 10 for p in range(50)]
     assert scorer.calls == 1
     assert batcher.stats.scored == 50
@@ -47,7 +55,7 @@ def test_max_batch_triggers_auto_flush():
 def test_cache_hits_skip_scoring():
     scorer = CountingScorer()
     batcher = make(scorer)
-    first = batcher.score_many([7], cache_keys=["seven"])
+    first = score_many(batcher, [7], cache_keys=["seven"])
     assert scorer.calls == 1
     again = batcher.submit(7, cache_key="seven")
     assert again.done() and again.result() == first[0]
@@ -58,9 +66,9 @@ def test_cache_hits_skip_scoring():
 def test_cache_eviction_is_lru():
     scorer = CountingScorer()
     batcher = make(scorer, cache_size=2)
-    batcher.score_many([1, 2], cache_keys=["a", "b"])
+    score_many(batcher, [1, 2], cache_keys=["a", "b"])
     batcher.submit(1, cache_key="a")  # refresh "a"
-    batcher.score_many([3], cache_keys=["c"])  # evicts "b" (least recent)
+    score_many(batcher, [3], cache_keys=["c"])  # evicts "b" (least recent)
     calls = scorer.calls
     hit = batcher.submit(1, cache_key="a")
     assert hit.done()  # "a" survived its refresh
@@ -83,7 +91,7 @@ def test_duplicate_keys_coalesce_within_batch():
 def test_uncached_payloads_are_not_deduplicated():
     scorer = CountingScorer()
     batcher = make(scorer)
-    results = batcher.score_many([5, 5, 5])  # no cache keys
+    results = score_many(batcher, [5, 5, 5])  # no cache keys
     assert results == [50, 50, 50]
     assert scorer.batch_sizes == [3]
 
@@ -100,7 +108,7 @@ def test_scorer_failure_reaches_every_waiter():
             fut.result(timeout=1)
     # The batch is consumed; the batcher keeps working afterwards.
     ok = MicroBatcher(CountingScorer(), max_delay_s=0.0)
-    assert ok.score_many([1]) == [10]
+    assert score_many(ok, [1]) == [10]
 
 
 def test_per_payload_exception_fails_only_its_waiters():
@@ -167,7 +175,7 @@ def test_timer_flushes_without_explicit_flush():
 def test_invalidate_clears_cache():
     scorer = CountingScorer()
     batcher = make(scorer)
-    batcher.score_many([1], cache_keys=["k"])
+    score_many(batcher, [1], cache_keys=["k"])
     batcher.invalidate()
     batcher.submit(1, cache_key="k")
     batcher.flush()

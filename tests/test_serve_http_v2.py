@@ -88,6 +88,12 @@ def test_v2_claim_cold_path(served, tiny_score_store):
     assert status == 200
     assert doc["record"]["precomputed"] is False
     assert doc["record"]["rank"] is None
+    # A cold record carries no claim aggregates: precomputed follows rank.
+    assert list(doc["record"]) == [
+        "provider_id", "cell", "technology", "state", "score", "margin",
+        "percentile", "rank", "precomputed",
+    ]
+    assert doc["record"] == service.score_claim(pid, cell, missing, "TX")
 
 
 # -- GET /v2/claims (pagination) ---------------------------------------------
@@ -259,9 +265,10 @@ def test_out_of_range_keys_are_400_never_500(served):
     for method, path, body in (
         ("GET", "/v2/claims/1/-5/50", None),
         ("GET", f"/v2/claims/{huge}/2/50", None),
-        ("GET", "/v1/claim?provider_id=1&cell=-5&technology=50", None),
+        ("GET", f"/v2/claims/1/{2**64}/50", None),
         ("GET", f"/v2/providers/{huge}", None),
-        ("GET", f"/v1/top?provider_id={huge}", None),
+        ("GET", f"/v2/claims?provider_id={huge}", None),
+        ("GET", "/v2/claims?cell=-5", None),
         (
             "POST",
             "/v2/claims:batchScore",
@@ -271,9 +278,9 @@ def test_out_of_range_keys_are_400_never_500(served):
         ),
         (
             "POST",
-            "/v1/score",
+            "/v2/claims:batchScore",
             json.dumps(
-                {"claims": [{"provider_id": 1, "cell": -5, "technology": 50}]}
+                {"claims": [{"provider_id": huge, "cell": 2, "technology": 50}]}
             ),
         ),
     ):
@@ -303,11 +310,14 @@ def test_v2_provider_and_state(served, tiny_score_store):
     pid, _cell, _tech = _known_key(tiny_score_store)
     status, doc = _json(server, "GET", f"/v2/providers/{pid}")
     assert status == 200
-    assert doc["model_version"] == "default"
-    assert doc["n_claims"] == service.provider_summary(pid)["n_claims"]
+    assert doc == {**service.provider_summary(pid), "model_version": "default"}
     state = doc["top_claims"][0]["state"]
     status, doc = _json(server, "GET", f"/v2/states/{state}")
-    assert status == 200 and doc["state"] == state
+    assert status == 200
+    assert doc == {**service.state_summary(state), "model_version": "default"}
+    # An empty provider keeps its short shape.
+    status, doc = _json(server, "GET", "/v2/providers/-1")
+    assert doc == {"provider_id": -1, "n_claims": 0, "model_version": "default"}
     status, doc = _json(server, "GET", "/v2/providers/abc")
     assert status == 400
     status, doc = _json(server, "GET", "/v2/states/NOWHERE")

@@ -24,7 +24,7 @@ def router():
     r.add("GET", "/v2/claims", _handler)
     r.add("POST", "/v2/claims:batchScore", _handler)
     r.add("POST", "/v2/models/{name}:activate", _handler)
-    r.add("GET", "/v1/provider/{provider_id}/summary", _handler)
+    r.add("GET", "/providers/{provider_id}/summary", _handler)
     return r
 
 
@@ -53,24 +53,24 @@ def test_method_mismatch_and_unknown_paths(router):
     assert router.match("GET", "/nope") is None
     # Captures never span a slash.
     assert router.match("GET", "/v2/claims/1/2/3/4") is None
-    assert router.match("GET", "/v1/provider//summary") is None
+    assert router.match("GET", "/providers//summary") is None
 
 
 def test_trailing_suffix_capture(router):
-    route, params = router.match("GET", "/v1/provider/abc/summary")
+    route, params = router.match("GET", "/providers/abc/summary")
     assert params == {"provider_id": "abc"}  # typing happens in the handler
 
 
-def test_path_captures_span_slashes_and_empty():
-    """{param:path} reproduces the v1 adapters' prefix/suffix matching."""
-    r = Router()
-    r.add("GET", "/v1/provider/{provider_id:path}/summary", _handler)
-    assert r.match("GET", "/v1/provider//summary")[1] == {"provider_id": ""}
-    assert r.match("GET", "/v1/provider/1/2/summary")[1] == {
-        "provider_id": "1/2"
-    }
-    assert r.match("GET", "/v1/provider/7/summary")[1] == {"provider_id": "7"}
-    assert r.match("GET", "/v1/provider/7") is None
+def test_captures_never_match_empty_or_span_slashes(router):
+    """A capture is exactly one non-empty path segment."""
+    assert router.match("GET", "/providers//summary") is None
+    assert router.match("GET", "/providers/1/2/summary") is None
+    assert router.match("GET", "/v2/claims/1//3") is None
+    assert router.match("GET", "/v2/claims//2/3") is None
+    assert router.match("POST", "/v2/models/:activate") is None
+    assert router.match("POST", "/v2/models/a/b:activate") is None
+    assert router.match("GET", "/providers/7/summary")[1] == {"provider_id": "7"}
+    assert router.match("GET", "/providers/7") is None
 
 
 def test_first_match_wins():

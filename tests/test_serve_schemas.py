@@ -82,7 +82,7 @@ def test_score_record_roundtrip_precomputed():
     record = ScoreRecord.from_dict(doc)
     assert record.rank == 0 and record.precomputed is True
     assert record.to_dict() == doc
-    # Canonical key order matches the v1 wire format exactly.
+    # The canonical key order round-trips exactly.
     assert list(record.to_dict()) == list(doc)
 
 

@@ -189,7 +189,7 @@ def test_stats_and_cache(service):
     pid, cell, tech = _known_key(service.store)
     service.score_claim(pid, cell, tech)
     service.score_claim(pid, cell, tech)
-    stats = service.stats()
+    (stats,) = service.registry.describe()["versions"]
     assert stats["n_claims"] == len(service.store)
     assert stats["cold_path_available"] is True
     assert stats["batcher"]["cache_hits"] >= 1
@@ -202,7 +202,7 @@ def test_from_artifacts_roundtrip(tmp_path, service):
     assert np.array_equal(standalone.store.margin, service.store.margin)
     assert standalone.top_suspicious(k=10) == service.top_suspicious(k=10)
     # Loaded without a live builder: precomputed lookups work, cold is off.
-    assert standalone.stats()["cold_path_available"] is False
+    assert standalone.registry.default.cold_path_available is False
     standalone.close()
 
 
@@ -237,69 +237,60 @@ def _post(base, path, doc):
 def test_http_healthz_and_stats(http_server, service):
     status, doc = _get(http_server, "/healthz")
     assert status == 200 and doc["n_claims"] == len(service.store)
-    status, doc = _get(http_server, "/v1/stats")
-    assert status == 200 and "batcher" in doc
+    assert "batcher" in doc
+    status, doc = _get(http_server, "/v2/models")
+    assert status == 200 and "batcher" in doc["versions"][0]
+
+
+def _claim_path(pid, cell, tech):
+    return f"/v2/claims/{pid}/{cell}/{tech}"
 
 
 def test_http_claim_endpoint(http_server, service):
-    pid, cell, tech = _known_key(service.store)
-    status, doc = _get(
-        http_server,
-        f"/v1/claim?provider_id={pid}&cell={cell}&technology={tech}",
-    )
+    status, doc = _get(http_server, _claim_path(*_known_key(service.store)))
     assert status == 200
-    assert doc == service.store.record(0)
+    assert doc["record"] == service.store.record(0)
 
 
 def test_http_claim_404_and_400(http_server, service):
-    pid, cell, tech = _missing_key(service.store)
-    with pytest.raises(urllib.error.HTTPError) as err:
-        _get(
-            http_server,
-            f"/v1/claim?provider_id={pid}&cell={cell}&technology={tech}",
-        )
-    assert err.value.code == 404
-    with pytest.raises(urllib.error.HTTPError) as err:
-        _get(http_server, "/v1/claim?provider_id=abc&cell=1&technology=1")
-    assert err.value.code == 400
-    with pytest.raises(urllib.error.HTTPError) as err:
-        _get(http_server, "/v1/claim?cell=1&technology=1")
-    assert err.value.code == 400
-    with pytest.raises(urllib.error.HTTPError) as err:
-        _get(http_server, "/v1/nowhere")
-    assert err.value.code == 404
+    for path, code in (
+        (_claim_path(*_missing_key(service.store)), 404),
+        ("/v2/claims/abc/1/1", 400),
+        ("/v2/claims/1/1/1?state=NOWHERE", 400),
+        ("/v2/nowhere", 404),
+    ):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _get(http_server, path)
+        assert err.value.code == code, path
 
 
 def test_http_cold_claim(http_server, service):
-    pid, cell, tech = _missing_key(service.store)
-    status, doc = _get(
-        http_server,
-        f"/v1/claim?provider_id={pid}&cell={cell}&technology={tech}&state=TX",
-    )
+    path = _claim_path(*_missing_key(service.store)) + "?state=TX"
+    status, doc = _get(http_server, path)
     assert status == 200
-    assert doc["precomputed"] is False
+    assert doc["record"]["precomputed"] is False
 
 
 def test_http_top(http_server, service):
-    status, doc = _get(http_server, "/v1/top?k=7")
+    status, doc = _get(http_server, "/v2/claims?limit=7")
     assert status == 200
-    assert [r["rank"] for r in doc["results"]] == list(range(7))
-    state = doc["results"][0]["state"]
-    status, filtered = _get(http_server, f"/v1/top?k=3&state={state}")
-    assert all(r["state"] == state for r in filtered["results"])
+    assert [r["rank"] for r in doc["items"]] == list(range(7))
+    state = doc["items"][0]["state"]
+    status, filtered = _get(http_server, f"/v2/claims?limit=3&state={state}")
+    assert all(r["state"] == state for r in filtered["items"])
     with pytest.raises(urllib.error.HTTPError) as err:
-        _get(http_server, "/v1/top?k=-1")
+        _get(http_server, "/v2/claims?limit=-1")
     assert err.value.code == 400
 
 
 def test_http_summaries(http_server, service):
     top = service.top_suspicious(k=1)[0]
-    status, doc = _get(http_server, f"/v1/provider/{top['provider_id']}/summary")
+    status, doc = _get(http_server, f"/v2/providers/{top['provider_id']}")
     assert status == 200 and doc["n_claims"] > 0
-    status, doc = _get(http_server, f"/v1/state/{top['state']}/summary")
+    status, doc = _get(http_server, f"/v2/states/{top['state']}")
     assert status == 200 and doc["state"] == top["state"]
     with pytest.raises(urllib.error.HTTPError) as err:
-        _get(http_server, "/v1/provider/abc/summary")
+        _get(http_server, "/v2/providers/abc")
     assert err.value.code == 400
 
 
@@ -308,7 +299,7 @@ def test_http_bulk_score(http_server, service):
     miss = _missing_key(service.store)
     status, doc = _post(
         http_server,
-        "/v1/score",
+        "/v2/claims:batchScore",
         {
             "claims": [
                 {"provider_id": pid, "cell": cell, "technology": tech},
@@ -327,12 +318,10 @@ def test_http_bulk_score(http_server, service):
     assert first["precomputed"] is True
     assert cold["precomputed"] is False
     assert unknown is None
-    with pytest.raises(urllib.error.HTTPError) as err:
-        _post(http_server, "/v1/score", {"claims": "nope"})
-    assert err.value.code == 400
-    with pytest.raises(urllib.error.HTTPError) as err:
-        _post(http_server, "/v1/score", {"claims": [{"provider_id": 1}]})
-    assert err.value.code == 400
+    for bad in ({"claims": "nope"}, {"claims": [{"provider_id": 1}]}):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(http_server, "/v2/claims:batchScore", bad)
+        assert err.value.code == 400
 
 
 def test_http_concurrent_claims_coalesce(http_server, service):
@@ -348,10 +337,9 @@ def test_http_concurrent_claims_coalesce(http_server, service):
         cell = int(claims.cell[row])
         tech = int(claims.technology[row])
         try:
-            results[row] = _get(
-                http_server,
-                f"/v1/claim?provider_id={pid}&cell={cell}&technology={tech}",
-            )[1]
+            results[row] = _get(http_server, _claim_path(pid, cell, tech))[1][
+                "record"
+            ]
         except Exception as exc:  # pragma: no cover - surfaced below
             errors.append(exc)
 

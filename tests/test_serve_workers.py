@@ -218,6 +218,33 @@ def test_pool_respawns_killed_worker_on_current_default(pool_bundles):
         assert doc["record"]["margin"] == float(store.margin[row])
 
 
+def test_pool_respawns_worker_killed_while_starting(pool_bundles):
+    """A respawn SIGKILLed before its ready handshake is respawned again:
+    the monitor must neither sit out the ready timeout on a dead process
+    nor lose the slot because its sentinel already fired."""
+    with WorkerPool(pool_bundles["specs"], n_workers=2) as pool:
+        first = pool.worker_pids()
+        os.kill(first[0], signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            fresh = [pid for pid in pool.worker_pids() if pid not in first]
+            if fresh:
+                break
+            time.sleep(0.001)
+        else:
+            pytest.fail("killed worker was not respawned in time")
+        os.kill(fresh[0], signal.SIGKILL)
+        restarts = pool.metrics.counter("pool_worker_restarts_total")
+        deadline = time.monotonic() + 15.0
+        while time.monotonic() < deadline:
+            pids = pool.ping()
+            if restarts.value >= 2 and len(pids) == 2 and fresh[0] not in pids:
+                break
+            time.sleep(0.05)
+        else:
+            pytest.fail("a worker killed while starting was not respawned")
+
+
 def test_pool_inherited_socket_fallback(pool_bundles):
     """reuse_port=False exercises the parent-bound inherited-socket
     accept model end to end."""

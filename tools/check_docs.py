@@ -116,19 +116,11 @@ _HTTP_MODULE = os.path.join(SRC_ROOT, "serve", "http.py")
 
 
 def _route_patterns() -> list[str]:
-    """Every route pattern registered by the serve HTTP module.
-
-    Capture modifiers (``{param:path}``) are stripped: docs describe the
-    public ``{param}`` shape, not the matcher internals.
-    """
+    """Every route pattern registered by the serve HTTP module."""
     if not os.path.exists(_HTTP_MODULE):
         return []
     text = open(_HTTP_MODULE, encoding="utf-8").read()
-    patterns = (
-        re.sub(r"\{([a-zA-Z_][a-zA-Z0-9_]*):[a-z]+\}", r"{\1}", p)
-        for p in _ROUTE_RE.findall(text)
-    )
-    return sorted(set(patterns))
+    return sorted(set(_ROUTE_RE.findall(text)))
 
 
 def _undocumented_routes(docs_text: str) -> list[str]:
