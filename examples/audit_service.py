@@ -37,7 +37,10 @@ def main() -> None:
     service = AuditService.from_model(model)
     with tempfile.TemporaryDirectory(suffix=".audit-artifacts") as bundle:
         service.save(bundle)
-        print(f"  bundle: {bundle} (manifest.json + npz arrays, no pickle)")
+        print(
+            f"  bundle: {bundle} (model/ + store/ bundles: hashed .npy "
+            "arrays under a manifest committed last, no pickle)"
+        )
 
         # Standalone reload: the server below holds no simulation world.
         standalone = AuditService.from_artifacts(bundle, version_name="2024-06")

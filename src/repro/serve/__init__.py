@@ -48,7 +48,6 @@ The matching client SDK lives in :mod:`repro.client`.
 """
 
 from repro.serve.artifacts import (
-    ARTIFACT_SCHEMA,
     ModelArtifacts,
     load_model_artifacts,
     save_model_artifacts,
@@ -104,7 +103,6 @@ from repro.serve.store import ClaimScoreStore
 from repro.serve.workers import WorkerPool, WorkerVersionSpec, reuse_port_available
 
 __all__ = [
-    "ARTIFACT_SCHEMA",
     "ModelArtifacts",
     "load_model_artifacts",
     "save_model_artifacts",

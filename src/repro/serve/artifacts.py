@@ -1,22 +1,23 @@
-"""Versioned on-disk model artifacts (npz arrays + JSON manifest).
+"""Versioned on-disk model artifacts (one :mod:`repro.utils.persist` bundle).
 
 A fitted :class:`~repro.ml.gbdt.GradientBoostedClassifier` is a handful of
 NumPy arrays plus a few scalars; this module persists exactly those — no
 pickle anywhere, so bundles are safe to load from untrusted storage and
-stable across Python versions.  A bundle directory holds:
+stable across Python versions.  The bundle holds:
 
-``manifest.json``
-    schema version, artifact kind, :class:`~repro.ml.gbdt.GBDTParams`
-    fields, feature names, and the feature builder's encoder manifest
-    (embedder spec + one-hot category orders).
-``arrays.npz``
-    the flat-ensemble node arrays (:meth:`FlatEnsemble.export_arrays`),
-    the histogram binner's packed cut lists
-    (:meth:`HistogramBinner.export_state`), the base margin, and the
-    builder's cached provider embeddings / cell centroids.
+manifest metadata
+    :class:`~repro.ml.gbdt.GBDTParams` fields, feature names, and the
+    feature builder's encoder manifest (embedder spec + one-hot category
+    orders).
+arrays (one ``.npy`` each)
+    the flat-ensemble node arrays (``ensemble/*``,
+    :meth:`FlatEnsemble.export_arrays`), the histogram binner's packed
+    cut lists (``binner/*``, :meth:`HistogramBinner.export_state`), the
+    base margin (``scalar/base_margin``), and the builder's cached
+    provider embeddings / cell centroids (``encoder/*``).
 
-Round-trips are **bitwise exact**: float64 arrays pass through the npz
-binary format untouched, JSON floats round-trip via ``repr``, and the
+Round-trips are **bitwise exact**: float64 arrays pass through the
+``.npy`` format untouched, JSON floats round-trip via ``repr``, and the
 reloaded classifier's float and binned margins — and its TreeSHAP
 attributions — are identical to the live model's (asserted by the test
 suite).
@@ -24,28 +25,21 @@ suite).
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from repro.ml.gbdt import GBDTParams, GradientBoostedClassifier
 from repro.ml.tree import FlatEnsemble, HistogramBinner
+from repro.utils import persist
 
 __all__ = [
-    "ARTIFACT_SCHEMA",
     "ModelArtifacts",
     "load_model_artifacts",
     "save_model_artifacts",
 ]
 
-#: Bump when the bundle layout changes incompatibly.
-ARTIFACT_SCHEMA = 1
-
 _KIND = "nbm-integrity-model"
-MANIFEST_NAME = "manifest.json"
-ARRAYS_NAME = "arrays.npz"
 
 
 @dataclass(frozen=True)
@@ -105,42 +99,15 @@ def save_model_artifacts(
         if feature_names is None:
             feature_names = builder.feature_names
 
-    manifest = {
-        "schema": ARTIFACT_SCHEMA,
-        "kind": _KIND,
+    meta = {
         "params": asdict(classifier.params),
         "n_features": classifier.n_features,
         "n_trees": ensemble.n_trees,
         "n_nodes": ensemble.n_nodes,
         "feature_names": list(feature_names) if feature_names is not None else None,
         "encoders": encoders,
-        "arrays": ARRAYS_NAME,
     }
-    os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, ARRAYS_NAME), "wb") as fh:
-        np.savez_compressed(fh, **arrays)
-    with open(os.path.join(path, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def _read_manifest(path: str) -> dict:
-    manifest_path = os.path.join(path, MANIFEST_NAME)
-    if not os.path.exists(manifest_path):
-        raise FileNotFoundError(f"no artifact manifest at {manifest_path}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("kind") != _KIND:
-        raise ValueError(
-            f"artifact kind {manifest.get('kind')!r} is not {_KIND!r}"
-        )
-    if manifest.get("schema") != ARTIFACT_SCHEMA:
-        raise ValueError(
-            f"artifact schema {manifest.get('schema')!r} is not supported "
-            f"(expected {ARTIFACT_SCHEMA})"
-        )
-    return manifest
+    return persist.write(path, _KIND, arrays, meta)
 
 
 def load_model_artifacts(path: str, builder=None) -> ModelArtifacts:
@@ -153,16 +120,10 @@ def load_model_artifacts(path: str, builder=None) -> ModelArtifacts:
     silently changing feature columns).  Arrays load with
     ``allow_pickle=False``; a bundle can never execute code.
     """
-    manifest = _read_manifest(path)
-    arrays_path = os.path.join(path, manifest.get("arrays", ARRAYS_NAME))
-    with np.load(arrays_path, allow_pickle=False) as payload:
-        groups: dict[str, dict[str, np.ndarray]] = {}
-        for key in payload.files:
-            group, _, name = key.partition("/")
-            groups.setdefault(group, {})[name] = payload[key]
-
-    binner = HistogramBinner.from_state(groups.get("binner", {}))
-    ensemble = FlatEnsemble.from_arrays(groups.get("ensemble", {}))
+    bundle = persist.read(path, _KIND)
+    manifest = bundle.manifest
+    binner = HistogramBinner.from_state(bundle.group("binner"))
+    ensemble = FlatEnsemble.from_arrays(bundle.group("ensemble"))
     params = GBDTParams(**manifest["params"])
     n_features = int(manifest["n_features"])
     if len(binner.split_values_) != n_features:
@@ -174,13 +135,13 @@ def load_model_artifacts(path: str, builder=None) -> ModelArtifacts:
         params=params,
         binner=binner,
         trees=ensemble.to_trees(),
-        base_margin=float(groups["scalar"]["base_margin"]),
+        base_margin=float(bundle.arrays["scalar/base_margin"]),
         n_features=n_features,
         flat=ensemble,
     )
     encoders = manifest.get("encoders")
     if builder is not None and encoders is not None:
-        builder.restore_encoder_state(encoders, groups.get("encoder", {}))
+        builder.restore_encoder_state(encoders, bundle.group("encoder"))
     names = manifest.get("feature_names")
     return ModelArtifacts(
         classifier=classifier,

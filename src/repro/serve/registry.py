@@ -22,6 +22,7 @@ Per-version counters (requests served, batcher stats) feed the
 
 from __future__ import annotations
 
+import os
 import threading
 from contextlib import contextmanager
 
@@ -47,6 +48,10 @@ from repro.serve.schemas import ClaimKey, ScoreRecord
 from repro.serve.store import ClaimScoreStore
 
 __all__ = ["ModelRegistry", "ModelVersion", "state_index"]
+
+#: The two bundles inside a saved service directory (``AuditService.save``).
+MODEL_SUBDIR = "model"
+STORE_SUBDIR = "store"
 
 _STATE_IDX = {s.abbr: i for i, s in enumerate(STATES)}
 
@@ -508,18 +513,24 @@ class ModelRegistry:
         builder=None,
         default: bool | None = None,
     ) -> ModelVersion:
-        """Register a version from an artifact bundle directory.
+        """Register a version from a saved service directory.
 
-        The bundle must contain both the model artifacts and the saved
-        score store.  ``builder``, when given a compatible live
-        :class:`FeatureBuilder`, is re-warmed from the bundle's encoder
-        state and enables cold-path scoring for this version.
+        ``path`` holds the two bundles :meth:`AuditService.save` writes:
+        the model artifacts (``model/``) and a single-shard score store
+        (``store/``), which serves memory-mapped and zero-copy.
+        ``builder``, when given a compatible live :class:`FeatureBuilder`,
+        is re-warmed from the bundle's encoder state and enables
+        cold-path scoring for this version.
         """
         from repro.serve.artifacts import load_model_artifacts
 
         with self.maintenance(f"loading model version {name!r}"):
-            artifacts = load_model_artifacts(path, builder=builder)
-            store = ClaimScoreStore.load(path)
+            artifacts = load_model_artifacts(
+                os.path.join(path, MODEL_SUBDIR), builder=builder
+            )
+            store = ClaimScoreStore.load_sharded(
+                os.path.join(path, STORE_SUBDIR), mmap=True
+            )
             return self.add(
                 name,
                 store,

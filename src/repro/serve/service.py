@@ -28,11 +28,19 @@ standalone serving with no world in memory), or :meth:`from_registry`
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from repro.fcc.states import STATES
 from repro.serve.artifacts import save_model_artifacts
-from repro.serve.registry import ModelRegistry, ModelVersion, state_index
+from repro.serve.registry import (
+    MODEL_SUBDIR,
+    STORE_SUBDIR,
+    ModelRegistry,
+    ModelVersion,
+    state_index,
+)
 from repro.serve.store import ClaimScoreStore
 
 __all__ = ["AuditService"]
@@ -161,20 +169,22 @@ class AuditService:
         return cls(registry=registry, **kwargs)
 
     def save(self, path: str, feature_names=None) -> str:
-        """Persist the default version (model artifacts + score store)
-        into one bundle directory."""
+        """Persist the default version into directory ``path``: a model
+        artifact bundle (``model/``) and a single-shard score-store
+        bundle (``store/``), both crash-safe :mod:`repro.utils.persist`
+        bundles."""
         version = self.registry.default
         if version.classifier is None:
             raise RuntimeError("service has no classifier to save")
         if feature_names is None and version.builder is not None:
             feature_names = version.builder.feature_names
         save_model_artifacts(
-            path,
+            os.path.join(path, MODEL_SUBDIR),
             version.classifier,
             feature_names=feature_names,
             builder=version.builder,
         )
-        version.store.save(path)
+        version.store.save_sharded(os.path.join(path, STORE_SUBDIR), shards=1)
         return path
 
     # -- version management --------------------------------------------------

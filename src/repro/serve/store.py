@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 
 import numpy as np
 
@@ -52,9 +51,6 @@ __all__ = ["ClaimScoreStore", "score_claim_blocks"]
 _LOOKUPS = get_metrics().counter("store_lookups_total")
 _LOOKUP_HITS = get_metrics().counter("store_lookup_hits_total")
 _BUILD_SECONDS = get_metrics().histogram("store_build_seconds")
-
-STORE_MANIFEST_NAME = "store.json"
-STORE_ARRAYS_NAME = "store.npz"
 
 #: Rows scored per vectorize-and-traverse block while building the store.
 _BUILD_BLOCK_ROWS = 32_768
@@ -467,65 +463,6 @@ class ClaimScoreStore:
 
     # -- persistence --------------------------------------------------------
 
-    def save(self, path: str) -> str:
-        """Write the store (claim columns + margins) into a bundle directory.
-
-        Derived arrays (score, percentile, orderings) are deterministic
-        from the margins, so only the margins are persisted; :meth:`load`
-        recomputes the rest bit-identically.
-        """
-        os.makedirs(path, exist_ok=True)
-        arrays = {
-            f"claims/{name}": arr
-            for name, arr in self.claims.export_arrays().items()
-        }
-        arrays["margin"] = self.margin
-        with open(os.path.join(path, STORE_ARRAYS_NAME), "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-        manifest = {
-            "schema": 1,
-            "kind": "claim-score-store",
-            "n_claims": len(self),
-            "arrays": STORE_ARRAYS_NAME,
-        }
-        with open(
-            os.path.join(path, STORE_MANIFEST_NAME), "w", encoding="utf-8"
-        ) as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
-
-    @classmethod
-    def load(cls, path: str) -> "ClaimScoreStore":
-        """Rebuild a store from a bundle directory written by :meth:`save`."""
-        with get_metrics().histogram("store_load_seconds", mode="eager").time():
-            return cls._load_eager(path)
-
-    @classmethod
-    def _load_eager(cls, path: str) -> "ClaimScoreStore":
-        manifest_path = os.path.join(path, STORE_MANIFEST_NAME)
-        if not os.path.exists(manifest_path):
-            raise FileNotFoundError(f"no score-store manifest at {manifest_path}")
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if manifest.get("kind") != "claim-score-store":
-            raise ValueError(
-                f"artifact kind {manifest.get('kind')!r} is not a score store"
-            )
-        arrays_path = os.path.join(path, manifest.get("arrays", STORE_ARRAYS_NAME))
-        with np.load(arrays_path, allow_pickle=False) as payload:
-            claim_arrays = {}
-            margin = None
-            for key in payload.files:
-                group, _, name = key.partition("/")
-                if group == "claims":
-                    claim_arrays[name] = payload[key]
-                elif key == "margin":
-                    margin = payload[key]
-        if margin is None:
-            raise ValueError(f"{arrays_path} is missing the margin array")
-        return cls(ClaimColumns.from_arrays(claim_arrays), margin)
-
     def save_sharded(
         self, path: str, shards=None, include_derived: bool = True
     ) -> str:
@@ -581,8 +518,6 @@ class ClaimScoreStore:
         (claims and margin stay mmap-backed), while multi-shard bundles
         scatter shards back into monolithic row order.
         """
-        from repro.store.sharded import ShardedClaimColumns
-
         mode = "mmap" if mmap else "eager"
         with get_metrics().histogram("store_load_seconds", mode=mode).time():
             return cls._load_sharded(path, mmap=mmap)

@@ -6,8 +6,8 @@ Module                          Responsibility
 ==============================  ==============================================
 :mod:`repro.store.sharded`      :class:`ShardedClaimColumns` — per-state
                                 shards of the claim columns, persisted as
-                                raw-mmap ``.npy`` files under a hashed,
-                                crash-safe manifest
+                                one raw-mmap :mod:`repro.utils.persist`
+                                bundle
 :mod:`repro.store.ingest`       streaming BDC-CSV ingestion with validation,
                                 a rejected-rows sidecar, and exact
                                 round-tripping
@@ -31,12 +31,11 @@ from repro.store.ingest import (
     write_bdc_csv,
 )
 from repro.store.parallel import build_sharded_margins
-from repro.store.sharded import SHARD_MANIFEST_NAME, ShardedClaimColumns
+from repro.store.sharded import ShardedClaimColumns
 
 __all__ = [
     "BDC_CSV_FIELDS",
     "IngestResult",
-    "SHARD_MANIFEST_NAME",
     "ShardedClaimColumns",
     "build_sharded_margins",
     "ingest_csv",

@@ -3,8 +3,8 @@
 Shard-parallel store building (:mod:`repro.store.parallel`) runs scoring
 in separate processes that must not — and cannot cheaply — reconstruct
 the simulated world.  This module persists exactly the columnar tables
-:meth:`FeatureBuilder.vectorize_columns` consults, pickle-free
-(``manifest JSON + arrays.npz``), and rebuilds a *frozen* builder from
+:meth:`FeatureBuilder.vectorize_columns` consults, pickle-free (one
+:mod:`repro.utils.persist` bundle), and rebuilds a *frozen* builder from
 them:
 
 =====================  ======================================================
@@ -29,20 +29,17 @@ live builder's.
 
 from __future__ import annotations
 
-import json
-import os
-
 import numpy as np
 
 from repro.dataset.likely_served import MLabLocalization
 from repro.features.embedding import TextEmbedder
 from repro.features.vectorize import FeatureBuilder
+from repro.utils import persist
 from repro.utils.indexing import ColumnIndex
 
 __all__ = ["save_feature_tables", "load_feature_tables"]
 
-FEATURE_MANIFEST_NAME = "feature_tables.json"
-FEATURE_ARRAYS_NAME = "feature_tables.npz"
+_KIND = "feature-tables"
 
 
 class _FrozenFabric:
@@ -93,8 +90,18 @@ def save_feature_tables(path: str, builder: FeatureBuilder) -> str:
 
     Warms the embedding/centroid caches for every distinct provider and
     cell in the builder's claim table first, so the bundle is complete
-    for scoring any subset of those claims.
+    for scoring any subset of those claims.  Raises ``ValueError``, before
+    writing anything, for an enriched builder: the bundle does not carry
+    the enrichment block, so its frozen builder could not score the
+    enriched feature set.
     """
+    if builder.enrichment is not None:
+        raise ValueError(
+            "frozen feature-table bundles do not carry the enrichment "
+            "block, so an enriched (feature-set version "
+            f"{builder.feature_set_version}) builder cannot be frozen; "
+            "build enriched stores in-process with ClaimScoreStore.build"
+        )
     claims = builder.claims
     builder.warm_caches(claims.provider_id, claims.cell)
     encoder_manifest, encoder_arrays = builder.export_encoder_state()
@@ -136,21 +143,7 @@ def save_feature_tables(path: str, builder: FeatureBuilder) -> str:
     arrays.update(
         {f"encoder/{key}": arr for key, arr in encoder_arrays.items()}
     )
-    os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, FEATURE_ARRAYS_NAME), "wb") as fh:
-        np.savez_compressed(fh, **arrays)
-    manifest = {
-        "schema": 1,
-        "kind": "feature-tables",
-        "arrays": FEATURE_ARRAYS_NAME,
-        "encoders": encoder_manifest,
-    }
-    with open(
-        os.path.join(path, FEATURE_MANIFEST_NAME), "w", encoding="utf-8"
-    ) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return persist.write(path, _KIND, arrays, {"encoders": encoder_manifest})
 
 
 def load_feature_tables(path: str, claims) -> FeatureBuilder:
@@ -160,24 +153,9 @@ def load_feature_tables(path: str, claims) -> FeatureBuilder:
     subset shard of it) the builder should vectorize against; its keys
     must fall inside the bundle's warmed caches.
     """
-    manifest_path = os.path.join(path, FEATURE_MANIFEST_NAME)
-    if not os.path.exists(manifest_path):
-        raise FileNotFoundError(f"no feature-table manifest at {manifest_path}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("kind") != "feature-tables":
-        raise ValueError(
-            f"artifact kind {manifest.get('kind')!r} is not a feature-table "
-            "bundle"
-        )
-    arrays_path = os.path.join(path, manifest.get("arrays", FEATURE_ARRAYS_NAME))
-    with np.load(arrays_path, allow_pickle=False) as payload:
-        arrays = {key: payload[key] for key in payload.files}
-    encoder_arrays = {
-        key.partition("/")[2]: arr
-        for key, arr in arrays.items()
-        if key.startswith("encoder/")
-    }
+    bundle = persist.read(path, _KIND)
+    arrays = bundle.arrays
+    encoders = bundle.manifest["encoders"]
     coverage = dict(
         zip(arrays["cov_cells"].tolist(), arrays["cov_values"].tolist())
     )
@@ -204,7 +182,7 @@ def load_feature_tables(path: str, claims) -> FeatureBuilder:
         table=claims,
         coverage_scores=coverage,
         localization=localization,
-        embedder=TextEmbedder.from_spec(manifest["encoders"]["embedder"]),
+        embedder=TextEmbedder.from_spec(encoders["embedder"]),
     )
-    builder.restore_encoder_state(manifest["encoders"], encoder_arrays)
+    builder.restore_encoder_state(encoders, bundle.group("encoder"))
     return builder

@@ -5,8 +5,9 @@ process; at national-shard scale the scoring loop is embarrassingly
 parallel across shards.  This module runs it that way:
 
 1. the parent saves three pickle-free bundles into a work directory —
-   the model artifacts (:mod:`repro.serve.artifacts`), the frozen
-   feature tables (:mod:`repro.store.bundle`), and the sharded claim
+   the frozen feature tables (:mod:`repro.store.bundle`; first, so a
+   builder it refuses leaves the work directory untouched), the model
+   artifacts (:mod:`repro.serve.artifacts`), and the sharded claim
    columns (:mod:`repro.store.sharded`);
 2. each worker process receives only *paths* (safe under both ``fork``
    and ``spawn``), loads its shard read-only via mmap, rebuilds a frozen
@@ -109,8 +110,8 @@ def build_sharded_margins(
         tmp = tempfile.TemporaryDirectory(prefix="shard-build-")
         workdir = tmp.name
     try:
-        save_model_artifacts(os.path.join(workdir, _MODEL_DIR), classifier)
         save_feature_tables(os.path.join(workdir, _FEATURES_DIR), builder)
+        save_model_artifacts(os.path.join(workdir, _MODEL_DIR), classifier)
         sharded.save(os.path.join(workdir, _CLAIMS_DIR))
         jobs = [
             (workdir, name, int(block_rows), bool(binned))

@@ -9,23 +9,16 @@ parallel arrays into per-state (or grouped) shards that persist as raw
 store loads *read-only and zero-copy* via ``numpy.load(mmap_mode="r")``:
 no column is paged in until something touches it.
 
-Layout on disk (all paths relative to the bundle root)::
+A saved store is one :mod:`repro.utils.persist` bundle (crash-safe,
+hashed, generation-swapped) whose array keys are::
 
-    root/
-      manifest.json                  <- always the last file written
-      data-00000001/                 <- one generation per save()
-        shards/<name>/<column>.npy   <- the eight ClaimColumns columns
-        shards/<name>/global_rows.npy    monolithic row per shard row
-        shards/<name>/index__<key>.npy   persisted composite-key index
-        shards/<name>/<extra>.npy    <- caller payloads (e.g. margins)
+    shards/<name>/<column>         <- the eight ClaimColumns columns
+    shards/<name>/global_rows      <- monolithic row per shard row
+    shards/<name>/index/<key>      <- persisted composite-key index
+    shards/<name>/<extra>          <- caller payloads (e.g. margins)
 
-The manifest records the schema, per-column dtypes, per-shard row counts,
-the state->shard routing map, and a SHA-256 content hash per file;
-:meth:`ShardedClaimColumns.verify` re-hashes a bundle against it.  Saves
-are crash-safe by construction: a new save writes a fresh generation
-directory and only then atomically replaces ``manifest.json``
-(``os.replace``), so a killed writer leaves the previous manifest
-pointing at the previous — complete — generation.
+The manifest adds per-column dtypes, per-shard row counts and states,
+and the state->shard routing map; ``persist.verify`` re-hashes it.
 
 Equivalence contract (property-tested): every shard preserves the
 monolithic lexicographic key order among its own rows and carries the
@@ -36,59 +29,26 @@ monolithic composite index on hits *and* misses.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import shutil
-
 import numpy as np
 
 from repro.fcc.bdc import ClaimColumns
 from repro.fcc.states import STATES
 from repro.obs.metrics import get_metrics
+from repro.utils import persist
 from repro.utils.indexing import MultiColumnIndex
 
 
 def _stage_timer(stage: str):
-    """Per-shard build/IO stage timer in the process-wide registry."""
+    """Sharded-store stage timer (split per shard, write/load per bundle)."""
     return get_metrics().histogram("shard_build_seconds", stage=stage).time()
 
-__all__ = ["ShardedClaimColumns", "SHARD_MANIFEST_NAME"]
+__all__ = ["ShardedClaimColumns"]
 
-SHARD_MANIFEST_NAME = "manifest.json"
+_KIND = "sharded-claim-columns"
 
-#: Manifest major version; bump on layout changes.
-_SCHEMA = 1
-
-_INDEX_PREFIX = "index__"
+_INDEX_GROUP = "index"
 
 _STATE_ABBRS = tuple(s.abbr for s in STATES)
-
-
-def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _fsync_dir(path: str) -> None:
-    """fsync a directory so renames/creates inside it are durable.
-
-    Platforms that cannot open a directory for fsync (Windows) get the
-    old best-effort behaviour instead of an error.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
-    except OSError:  # pragma: no cover - non-POSIX fallback
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - filesystems without dir fsync
-        pass
-    finally:
-        os.close(fd)
 
 
 def _resolve_state_map(shards) -> dict[str, str]:
@@ -241,55 +201,34 @@ class ShardedClaimColumns:
     ) -> str:
         """Write the sharded bundle under ``root`` (crash-safe commit).
 
-        A fresh generation directory takes all the data files; the
-        manifest is atomically replaced last, so an interrupted save
-        never invalidates a previously committed bundle.
+        One :func:`repro.utils.persist.write` bundle: an interrupted save
+        never invalidates a previously committed one.
         ``extra_shard_arrays`` adds caller payloads per shard (e.g.
         ``{"ca": {"margin": ...}}``); ``extra_manifest`` merges extra
         top-level keys (e.g. ingestion stats) into the manifest.
         """
-        os.makedirs(root, exist_ok=True)
-        generation = self._next_generation(root)
-        data_dir = os.path.join(root, generation)
+        arrays: dict[str, np.ndarray] = {}
         shard_entries = []
         for name in self.shard_names:
             shard = self._shards[name]
-            shard_dir = os.path.join(data_dir, "shards", name)
-            os.makedirs(shard_dir, exist_ok=True)
-            arrays = dict(shard.export_arrays())
-            arrays["global_rows"] = self._global_rows[name]
-            for key, arr in shard.index.export_state().items():
-                arrays[f"{_INDEX_PREFIX}{key}"] = arr
+            own = dict(shard.export_arrays())
+            own["global_rows"] = self._global_rows[name]
             for key, arr in (extra_shard_arrays or {}).get(name, {}).items():
-                if key in arrays:
+                if key in own:
                     raise ValueError(f"extra array {key!r} shadows a column")
-                arrays[key] = np.asarray(arr)
-            files = {}
-            with _stage_timer("write"):
-                for key, arr in arrays.items():
-                    rel = os.path.join(generation, "shards", name, f"{key}.npy")
-                    target = os.path.join(root, rel)
-                    np.save(target, np.ascontiguousarray(arr))
-                    files[key] = {
-                        "path": rel.replace(os.sep, "/"),
-                        "sha256": _sha256_file(target),
-                        "dtype": str(np.asarray(arr).dtype),
-                    }
+                own[key] = arr
+            for key, arr in shard.index.export_state().items():
+                own[f"{_INDEX_GROUP}/{key}"] = arr
+            arrays.update(
+                {f"shards/{name}/{key}": arr for key, arr in own.items()}
+            )
             states = sorted(
                 a for a, s in self.state_to_shard.items() if s == name
             )
             shard_entries.append(
-                {
-                    "name": name,
-                    "n_rows": int(len(shard)),
-                    "states": states,
-                    "files": files,
-                }
+                {"name": name, "n_rows": int(len(shard)), "states": states}
             )
-        manifest = {
-            "schema": _SCHEMA,
-            "kind": "sharded-claim-columns",
-            "generation": generation,
+        meta = {
             "n_rows": self._n_rows,
             "columns": {
                 name: str(np.dtype(dtype))
@@ -298,59 +237,12 @@ class ShardedClaimColumns:
             "state_to_shard": dict(sorted(self.state_to_shard.items())),
             "shards": shard_entries,
         }
-        for key, value in (extra_manifest or {}).items():
-            if key in manifest:
+        for key in extra_manifest or {}:
+            if key in meta:
                 raise ValueError(f"extra manifest key {key!r} is reserved")
-            manifest[key] = value
-        # Durable commit: the rename is the commit point, so the tmp
-        # file's *contents* must reach disk before it, and the directory
-        # entry after it — otherwise a crash can surface a committed but
-        # empty/torn manifest over intact data files.
-        tmp = os.path.join(root, SHARD_MANIFEST_NAME + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        _fsync_dir(root)
-        os.replace(tmp, os.path.join(root, SHARD_MANIFEST_NAME))
-        _fsync_dir(root)
-        self._collect_garbage(root, keep=generation)
-        return root
-
-    @staticmethod
-    def _next_generation(root: str) -> str:
-        ordinals = [0]
-        for entry in os.listdir(root):
-            if entry.startswith("data-"):
-                try:
-                    ordinals.append(int(entry[5:]))
-                except ValueError:
-                    continue
-        return f"data-{max(ordinals) + 1:08d}"
-
-    @staticmethod
-    def _collect_garbage(root: str, keep: str) -> None:
-        """Best-effort removal of superseded generation directories."""
-        for entry in os.listdir(root):
-            if entry.startswith("data-") and entry != keep:
-                shutil.rmtree(os.path.join(root, entry), ignore_errors=True)
-
-    @staticmethod
-    def read_manifest(root: str) -> dict:
-        manifest_path = os.path.join(root, SHARD_MANIFEST_NAME)
-        if not os.path.exists(manifest_path):
-            raise FileNotFoundError(
-                f"no sharded-store manifest at {manifest_path}"
-            )
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if manifest.get("kind") != "sharded-claim-columns":
-            raise ValueError(
-                f"artifact kind {manifest.get('kind')!r} is not a sharded "
-                "claim store"
-            )
-        return manifest
+        meta.update(extra_manifest or {})
+        with _stage_timer("write"):
+            return persist.write(root, _KIND, arrays, meta)
 
     @classmethod
     def load(cls, root: str, mmap: bool = True) -> "ShardedClaimColumns":
@@ -360,42 +252,35 @@ class ShardedClaimColumns:
         until a lookup touches it, and persisted composite-key indexes
         load the same way (no re-factorization).
         """
-        manifest = cls.read_manifest(root)
-        mode = "r" if mmap else None
+        with _stage_timer("load"):
+            bundle = persist.read(root, _KIND, mmap=mmap)
         column_names = {name for name, _ in ClaimColumns.EXPORT_FIELDS}
+        # One pass over the keys (shards/<name>/<rest>), not one per shard.
+        by_shard: dict[str, dict[str, np.ndarray]] = {}
+        for key, arr in bundle.arrays.items():
+            _, name, rest = key.split("/", 2)
+            by_shard.setdefault(name, {})[rest] = arr
         shards: dict[str, ClaimColumns] = {}
         global_rows: dict[str, np.ndarray] = {}
         extra: dict[str, dict[str, np.ndarray]] = {}
-        for entry in manifest["shards"]:
+        for entry in bundle.manifest["shards"]:
             name = entry["name"]
-            arrays: dict[str, np.ndarray] = {}
-            index_state: dict[str, np.ndarray] = {}
-            shard_extra: dict[str, np.ndarray] = {}
-            with _stage_timer("load"):
-                for key, meta in entry["files"].items():
-                    arr = np.load(
-                        os.path.join(root, meta["path"]),
-                        mmap_mode=mode,
-                        allow_pickle=False,
-                    )
-                    if str(arr.dtype) != meta["dtype"]:
-                        raise ValueError(
-                            f"shard {name!r} file {key!r} has dtype "
-                            f"{arr.dtype}, manifest says {meta['dtype']}"
-                        )
-                    if key.startswith(_INDEX_PREFIX):
-                        index_state[key[len(_INDEX_PREFIX):]] = arr
-                    else:
-                        arrays[key] = arr
+            arrays = by_shard.get(name, {})
+            index_state = {
+                key[len(_INDEX_GROUP) + 1:]: arrays.pop(key)
+                for key in list(arrays)
+                if key.startswith(f"{_INDEX_GROUP}/")
+            }
             missing = (column_names | {"global_rows"}) - set(arrays)
             if missing:
                 raise ValueError(
                     f"shard {name!r} is missing columns {sorted(missing)}"
                 )
-            rows = arrays.pop("global_rows")
-            for key in list(arrays):
-                if key not in column_names:
-                    shard_extra[key] = arrays.pop(key)
+            global_rows[name] = arrays.pop("global_rows")
+            shard_extra = {
+                key: arrays.pop(key) for key in list(arrays)
+                if key not in column_names
+            }
             index = (
                 MultiColumnIndex.from_state(index_state)
                 if index_state
@@ -408,39 +293,12 @@ class ShardedClaimColumns:
                     f"manifest ({entry['n_rows']})"
                 )
             shards[name] = shard
-            global_rows[name] = rows
             if shard_extra:
                 extra[name] = shard_extra
         return cls(
             shards,
             global_rows,
-            manifest["state_to_shard"],
-            manifest["n_rows"],
+            bundle.manifest["state_to_shard"],
+            bundle.manifest["n_rows"],
             extra_arrays=extra,
         )
-
-    @staticmethod
-    def verify(root: str) -> int:
-        """Re-hash every file in a bundle against the manifest.
-
-        Returns the number of files checked; raises ``ValueError`` on
-        the first content mismatch and ``FileNotFoundError`` for files
-        the manifest promises but the bundle lacks.
-        """
-        manifest = ShardedClaimColumns.read_manifest(root)
-        checked = 0
-        for entry in manifest["shards"]:
-            for key, meta in entry["files"].items():
-                path = os.path.join(root, meta["path"])
-                if not os.path.exists(path):
-                    raise FileNotFoundError(
-                        f"shard {entry['name']!r} is missing {meta['path']}"
-                    )
-                digest = _sha256_file(path)
-                if digest != meta["sha256"]:
-                    raise ValueError(
-                        f"content hash mismatch for {meta['path']}: "
-                        f"manifest {meta['sha256'][:12]}…, file {digest[:12]}…"
-                    )
-                checked += 1
-        return checked

@@ -145,21 +145,6 @@ def test_truthmap_save_load_roundtrip(enrichment, tmp_path):
     )
 
 
-def test_truthmap_load_rejects_foreign_and_missing(enrichment, tmp_path):
-    with pytest.raises(FileNotFoundError):
-        TruthMap.load(str(tmp_path / "nowhere"))
-    root = str(tmp_path / "bundle")
-    enrichment.truthmap.save(root)
-    manifest_path = f"{root}/manifest.json"
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    manifest["kind"] = "claim-shards"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh)
-    with pytest.raises(ValueError, match="not a truth map"):
-        TruthMap.load(root)
-
-
 def test_truthmap_from_arrays_validates_shape(enrichment):
     arrays = dict(enrichment.truthmap.export_arrays())
     arrays["n_tests"] = arrays["n_tests"][:-1]
@@ -291,6 +276,27 @@ def test_encoder_state_refuses_feature_set_mismatch(
     legacy = dict(manifest)
     legacy.pop("feature_set_version")
     tiny_builder.restore_encoder_state(legacy, arrays)
+
+
+def test_build_sharded_refuses_enriched_builder_up_front(
+    tmp_path, tiny_model, enriched_builder
+):
+    """The frozen feature bundle has no enrichment block, so a sharded
+    build of an enriched builder fails in the parent with a clear error
+    before it writes anything, not later inside every worker."""
+    from repro.serve import ClaimScoreStore
+
+    model, _ = tiny_model
+    workdir = tmp_path / "work"
+    with pytest.raises(ValueError, match="enrichment block"):
+        ClaimScoreStore.build_sharded(
+            model.classifier,
+            enriched_builder,
+            shards=2,
+            n_workers=1,
+            workdir=str(workdir),
+        )
+    assert not workdir.exists() or not any(workdir.iterdir())
 
 
 # -- audit priority -----------------------------------------------------------

@@ -153,8 +153,8 @@ def test_store_margin_percentile_cold_scale(tiny_score_store):
 
 def test_store_save_load_roundtrip(tmp_path, tiny_score_store):
     store = tiny_score_store
-    store.save(str(tmp_path))
-    loaded = ClaimScoreStore.load(str(tmp_path))
+    store.save_sharded(str(tmp_path), shards=1)
+    loaded = ClaimScoreStore.load_sharded(str(tmp_path), mmap=False)
     assert np.array_equal(loaded.margin, store.margin)
     assert np.array_equal(loaded.score, store.score)
     assert np.array_equal(loaded.percentile, store.percentile)
@@ -164,7 +164,7 @@ def test_store_save_load_roundtrip(tmp_path, tiny_score_store):
             getattr(loaded.claims, name), getattr(store.claims, name)
         ), name
     with pytest.raises(FileNotFoundError):
-        ClaimScoreStore.load(str(tmp_path / "missing"))
+        ClaimScoreStore.load_sharded(str(tmp_path / "missing"))
 
 
 def test_store_rejects_misaligned_margin(tiny_score_store):

@@ -5,9 +5,10 @@ Two tiers:
 * **Synthetic property tests** (hypothesis) over random-but-valid
   ``ClaimColumns`` tables: save/load round-trips are bitwise across
   every shard layout (per-state, ``k`` round-robin shards including
-  ``k=1`` and ``k > n_states`` with empty shards, explicit maps), hashes
-  verify, corruption is detected, and the sharded composite-key lookup
-  agrees with the monolithic index on hits and misses.
+  ``k=1`` and ``k > n_states`` with empty shards, explicit maps), and
+  the sharded composite-key lookup agrees with the monolithic index on
+  hits and misses.  The bundle's crash-safety and corruption checks are
+  shared by every persisted kind and live in ``tests/test_persist.py``.
 
 * **Tiny-world equivalence** over the session model: the frozen-builder
   bundle vectorizes bitwise-identically to the live builder, the
@@ -28,12 +29,12 @@ from repro.fcc.bdc import ClaimColumns
 from repro.fcc.states import STATES
 from repro.serve.store import ClaimScoreStore, score_claim_blocks
 from repro.store import (
-    SHARD_MANIFEST_NAME,
     ShardedClaimColumns,
     build_sharded_margins,
     load_feature_tables,
     save_feature_tables,
 )
+from repro.utils import persist
 from repro.utils.indexing import MultiColumnIndex
 
 N_STATES = len(STATES)
@@ -165,99 +166,19 @@ def test_from_state_rejects_malformed():
         )
 
 
-def test_verify_detects_corruption(tmp_path):
-    claims = make_random_claims(11, n=300)
-    root = str(tmp_path / "bundle")
-    ShardedClaimColumns.from_claims(claims, shards=2).save(root)
-    n_checked = ShardedClaimColumns.verify(root)
-    assert n_checked > 0
-    # Flip one byte inside one column payload: verify must notice.
-    manifest = ShardedClaimColumns.read_manifest(root)
-    victim = os.path.join(
-        root, manifest["shards"][0]["files"]["provider_id"]["path"]
-    )
-    with open(victim, "r+b") as fh:
-        fh.seek(-1, os.SEEK_END)
-        byte = fh.read(1)
-        fh.seek(-1, os.SEEK_END)
-        fh.write(bytes([byte[0] ^ 0xFF]))
-    with pytest.raises(ValueError, match="hash"):
-        ShardedClaimColumns.verify(root)
-
-
-def test_verify_detects_missing_file(tmp_path):
-    claims = make_random_claims(12, n=200)
-    root = str(tmp_path / "bundle")
-    ShardedClaimColumns.from_claims(claims, shards=1).save(root)
-    manifest = ShardedClaimColumns.read_manifest(root)
-    victim = os.path.join(root, manifest["shards"][0]["files"]["cell"]["path"])
-    os.unlink(victim)
-    with pytest.raises(FileNotFoundError):
-        ShardedClaimColumns.verify(root)
-
-
-def test_load_rejects_dtype_drift(tmp_path):
-    claims = make_random_claims(13, n=200)
-    root = str(tmp_path / "bundle")
-    ShardedClaimColumns.from_claims(claims, shards=1).save(root)
-    manifest = ShardedClaimColumns.read_manifest(root)
-    path = os.path.join(
-        root, manifest["shards"][0]["files"]["claimed_count"]["path"]
-    )
-    np.save(path, np.load(path).astype(np.int32))
-    with pytest.raises(ValueError, match="dtype"):
-        ShardedClaimColumns.load(root)
-
-
 def test_generations_are_garbage_collected(tmp_path):
     claims = make_random_claims(14, n=150)
     root = str(tmp_path / "bundle")
     sharded = ShardedClaimColumns.from_claims(claims, shards=2)
     sharded.save(root)
-    first_gen = ShardedClaimColumns.read_manifest(root)["generation"]
+    first_gen = persist.read_manifest(root)["generation"]
     sharded.save(root)
-    second = ShardedClaimColumns.read_manifest(root)
+    second = persist.read_manifest(root)
     assert second["generation"] != first_gen
     gens = [d for d in os.listdir(root) if d.startswith("data-")]
     assert gens == [second["generation"]]
     # And the survivor still loads + verifies.
-    ShardedClaimColumns.verify(root)
-    assert_claims_bitwise(ShardedClaimColumns.load(root).to_claims(), claims)
-
-
-def test_manifest_commit_fsyncs_before_and_after_rename(tmp_path, monkeypatch):
-    """The rename is the commit point: the tmp manifest's bytes must be
-    fsynced before ``os.replace`` and the directory entry after it, or a
-    crash can surface a committed-but-torn manifest."""
-    import repro.store.sharded as sharded_mod
-
-    events = []
-    real_fsync, real_replace = os.fsync, os.replace
-
-    def spy_fsync(fd):
-        events.append(("fsync", "dir" if _fd_is_dir(fd) else "file"))
-        real_fsync(fd)
-
-    def _fd_is_dir(fd):
-        import stat
-
-        return stat.S_ISDIR(os.fstat(fd).st_mode)
-
-    def spy_replace(src, dst):
-        events.append(("replace", os.path.basename(dst)))
-        real_replace(src, dst)
-
-    monkeypatch.setattr(os, "fsync", spy_fsync)
-    monkeypatch.setattr(sharded_mod.os, "replace", spy_replace)
-    claims = make_random_claims(15, n=120)
-    root = str(tmp_path / "bundle")
-    ShardedClaimColumns.from_claims(claims, shards=2).save(root)
-
-    commit = events.index(("replace", "manifest.json"))
-    before, after = events[:commit], events[commit + 1 :]
-    assert ("fsync", "file") in before  # tmp manifest contents on disk
-    assert ("fsync", "dir") in before  # tmp entry durable pre-rename
-    assert ("fsync", "dir") in after  # the rename itself durable
+    persist.verify(root)
     assert_claims_bitwise(ShardedClaimColumns.load(root).to_claims(), claims)
 
 
@@ -292,7 +213,7 @@ def test_extra_arrays_round_trip_and_cannot_shadow(tmp_path):
     }
     root = str(tmp_path / "bundle")
     sharded.save(root, extra_shard_arrays=extras, extra_manifest={"store": {"k": 1}})
-    manifest = ShardedClaimColumns.read_manifest(root)
+    manifest = persist.read_manifest(root)
     assert manifest["store"] == {"k": 1}
     back = ShardedClaimColumns.load(root)
     for name in back.shard_names:
@@ -483,7 +404,7 @@ def test_build_sharded_margins_roundtrip_with_kept_workdir(
         model.classifier, tiny_builder, sharded, n_workers=1, workdir=workdir
     )
     assert np.array_equal(margin, tiny_score_store.margin[sub_rows])
-    assert os.path.exists(os.path.join(workdir, "claims", SHARD_MANIFEST_NAME))
+    assert os.path.exists(os.path.join(workdir, "claims", persist.MANIFEST_NAME))
     partials = os.listdir(os.path.join(workdir, "margins"))
     assert len(partials) == sum(
         1 for n in sharded.shard_names if len(sharded.shard(n))
