@@ -300,21 +300,12 @@ def make_feature_builder(
 def enrichment_from_world(world: SimulationWorld):
     """Build the measured-truth enrichment join for a simulated world.
 
-    Re-runs the MLab attribution over the world's tests to aggregate
-    measured throughputs per (provider, cell) tile, and joins the
-    simulated challenge outcomes at the same grain.
+    Reduces the world's MLab attribution (``world.localization``, computed
+    once in :func:`build_world`) to per-(provider, cell) measured-speed
+    tiles, and joins the simulated challenge outcomes at the same grain.
     """
     from repro.enrich import ChallengeJoin, Enrichment, build_truth_map
 
-    claimed_by_provider = {
-        p.provider_id: world.universe.claimed_cells(p.provider_id)
-        for p in world.universe.providers
-    }
-    truthmap = build_truth_map(
-        world.mlab_tests,
-        world.crosswalk,
-        claimed_by_provider,
-        res=world.fabric.config.hex_resolution,
-    )
+    truthmap = build_truth_map(world.localization, world.mlab_tests)
     challenges = ChallengeJoin.from_records(world.challenges)
     return Enrichment(truthmap, challenges=challenges)

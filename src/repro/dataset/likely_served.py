@@ -19,6 +19,7 @@ cell in the NBM.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,13 +27,17 @@ import numpy as np
 from repro.asn.matching import CrosswalkResult
 from repro.fcc.bdc import AvailabilityTable, ClaimKey
 from repro.fcc.fabric import Fabric
-from repro.geo import cells_within_radius
+# ``cells_within_radius`` stays bound here: the end-to-end benchmark's
+# layer tracer wraps it by name in this module.
+from repro.geo import cells_within_radius  # noqa: F401
+from repro.geo.hexgrid import cells_within_radius_vec
 from repro.geo.reproject import HexAggregate
-from repro.speedtests.mlab import MLabTest
-from repro.utils.indexing import MultiColumnIndex
+from repro.speedtests.mlab import MLabTest, mlab_columns
+from repro.utils.indexing import ColumnIndex, MultiColumnIndex
 
 __all__ = [
     "service_coverage_scores",
+    "AttributionTriples",
     "MLabLocalization",
     "localize_mlab_tests",
     "likely_served_claims",
@@ -60,6 +65,22 @@ def service_coverage_scores(
     return scores
 
 
+@dataclass(frozen=True)
+class AttributionTriples:
+    """Every (test, provider, cell) hit of one attribution pass, sorted by
+    (provider_id, cell, test_row); ``test_row`` indexes the test list."""
+
+    test_row: np.ndarray  # int64
+    provider_id: np.ndarray  # int64
+    cell: np.ndarray  # uint64
+
+    def key_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(start offset, length) of each distinct (provider, cell) run."""
+        change = (np.diff(self.provider_id) != 0) | (np.diff(self.cell) != 0)
+        starts = np.flatnonzero(np.r_[self.cell.size > 0, change])
+        return starts, np.diff(np.r_[starts, self.cell.size])
+
+
 @dataclass
 class MLabLocalization:
     """Per-provider hex localizations of attributed MLab tests."""
@@ -72,6 +93,8 @@ class MLabLocalization:
     n_dropped_radius: int
     #: Tests dropped because their ASN matched no provider.
     n_dropped_unattributed: int
+    #: The pass's triples; ``None`` when rebuilt from persisted counts.
+    triples: AttributionTriples | None = field(default=None, repr=False, compare=False)
     #: Lazily-built columnar (provider, cell) -> count index.
     _count_index: "MultiColumnIndex | None" = field(
         default=None, init=False, repr=False, compare=False
@@ -118,6 +141,10 @@ class MLabLocalization:
         return self._count_index, self._count_values
 
 
+#: Attributed tests per radius-kernel chunk (bounds transient memory).
+_LOCALIZE_CHUNK_TESTS = 128
+
+
 def localize_mlab_tests(
     tests: list[MLabTest],
     crosswalk: CrosswalkResult,
@@ -130,46 +157,63 @@ def localize_mlab_tests(
     Each test's candidate hexes (centroids within the accuracy radius) are
     intersected with the claimed footprint of every provider its ASN maps
     to.  Shared ASNs legitimately attribute one test to several providers.
+    Vectorized over chunks of tests; the :class:`AttributionTriples` it
+    keeps are what the truth map reduces, so nothing attributes twice.
     """
-    asn_to_providers: dict[int, set[int]] = {}
-    for pid, asns in crosswalk.union.items():
-        for asn in asns:
-            asn_to_providers.setdefault(asn, set()).add(pid)
-
-    cells_by_provider: dict[int, set[int]] = {}
-    test_counts: dict[tuple[int, int], int] = {}
-    dropped_radius = 0
-    dropped_unattributed = 0
-
-    for test in tests:
-        if test.accuracy_radius_m > max_radius_m:
-            dropped_radius += 1
-            continue
-        providers = asn_to_providers.get(test.asn)
-        if not providers:
-            dropped_unattributed += 1
-            continue
-        candidates = set(
-            cells_within_radius(test.lat, test.lng, test.accuracy_radius_m, res)
-        )
-        for pid in providers:
-            claimed = claimed_cells_by_provider.get(pid)
-            if not claimed:
-                continue
-            hits = candidates & claimed
-            if not hits:
-                continue
-            cells_by_provider.setdefault(pid, set()).update(hits)
-            for cell in hits:
-                key = (pid, int(cell))
-                test_counts[key] = test_counts.get(key, 0) + 1
-
-    return MLabLocalization(
-        cells_by_provider=cells_by_provider,
-        test_counts=test_counts,
-        n_dropped_radius=dropped_radius,
-        n_dropped_unattributed=dropped_unattributed,
+    asn, lat, lng, radius = mlab_columns(
+        tests, "asn", "lat", "lng", "accuracy_radius_m"
     )
+    pairs = [(a, pid) for pid, asns in crosswalk.union.items() for a in asns]
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    pair_asn, pair_pid = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
+    first = np.searchsorted(pair_asn, asn, side="left")
+    n_providers = np.searchsorted(pair_asn, asn, side="right") - first
+    too_wide = radius > max_radius_m
+    unattributed = ~too_wide & (n_providers == 0)
+    claimed = claimed_cells_by_provider
+    claimed_cells = np.fromiter(itertools.chain.from_iterable(claimed.values()), np.uint64)
+    sizes = [len(cells) for cells in claimed.values()]
+    footprint = MultiColumnIndex(
+        np.repeat(np.fromiter(claimed, np.int64), sizes), claimed_cells
+    )
+    any_claim = ColumnIndex(np.unique(claimed_cells))
+
+    parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.uint64))]
+    kept = np.flatnonzero(~too_wide & ~unattributed)
+    for start in range(0, kept.size, _LOCALIZE_CHUNK_TESTS):
+        chunk = kept[start : start + _LOCALIZE_CHUNK_TESTS]
+        point, cell = cells_within_radius_vec(
+            lat[chunk], lng[chunk], radius[chunk], res
+        )
+        # Keep claimed cells, then expand each candidate over its providers.
+        claimed_by_any = any_claim.positions(cell) >= 0
+        row, cell = chunk[point[claimed_by_any]], cell[claimed_by_any]
+        reps = n_providers[row]
+        offsets = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        pid = pair_pid[np.repeat(first[row], reps) + offsets]
+        row, cell = np.repeat(row, reps), np.repeat(cell, reps)
+        hit = footprint.positions(pid, cell) >= 0
+        parts.append((row[hit], pid[hit], cell[hit]))
+    row, pid, cell = (np.concatenate(column) for column in zip(*parts))
+    order = np.lexsort((row, cell, pid))
+    triples = AttributionTriples(row[order], pid[order], cell[order])
+
+    starts, counts = triples.key_runs()
+    key_pid, key_cell = triples.provider_id[starts], triples.cell[starts]
+    pid_list, cell_list = key_pid.tolist(), key_cell.tolist()
+    cells_by_provider: dict[int, set[int]] = {}
+    for key_p, key_c in zip(pid_list, cell_list):
+        cells_by_provider.setdefault(key_p, set()).add(key_c)
+    localization = MLabLocalization(
+        cells_by_provider=cells_by_provider,
+        test_counts=dict(zip(zip(pid_list, cell_list), counts.tolist())),
+        n_dropped_radius=int(too_wide.sum()),
+        n_dropped_unattributed=int(unattributed.sum()),
+        triples=triples,
+    )
+    localization._count_index = MultiColumnIndex(key_pid, key_cell)
+    localization._count_values = counts
+    return localization
 
 
 def likely_served_claims(

@@ -1,15 +1,13 @@
 """Tile-level measured-truth aggregates per (provider, cell).
 
-The truth map is the enrichment layer's ground surface: every attributed
-MLab test is localized to the hex cells it may have run in (the same
-attribution pipeline as :func:`repro.dataset.likely_served.localize_mlab_tests`
-— ASN crosswalk union, accuracy-radius cap, intersection with the
-provider's claimed footprint) and its measured throughputs accumulate
-per (provider, cell) tile.  Each tile then aggregates *per direction*
-through :func:`repro.speedtests.aggregate.directional_summary`: median
-and p90 measured download/upload, with an unmeasured direction coded as
-``NaN`` — never ``0.0`` (a zero measurement and a missing measurement
-mean opposite things to an overstatement ratio).
+The truth map is the enrichment layer's ground surface: a reduction over
+the (test, provider, cell) triples of the world's one MLab attribution
+pass (:func:`repro.dataset.likely_served.localize_mlab_tests`).  Each
+(provider, cell) tile aggregates its tests' measured throughputs *per
+direction* — median and p90 download/upload, bitwise what
+:func:`repro.speedtests.aggregate.directional_summary` gives — with an
+unmeasured direction coded as ``NaN``, never ``0.0`` (a zero measurement
+and a missing measurement mean opposite things to an overstatement ratio).
 
 The result is a frozen struct-of-arrays table in sorted
 (provider, cell) order with a lazy two-column composite index, persisted
@@ -25,12 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.asn.matching import CrosswalkResult
-from repro.dataset.likely_served import MAX_GEOLOCATION_RADIUS_M
-from repro.geo import cells_within_radius
+from repro.dataset.likely_served import MLabLocalization
+
+# ``cells_within_radius`` stays bound here: the end-to-end benchmark's
+# layer tracer wraps it by name in this module.
+from repro.geo import cells_within_radius  # noqa: F401
 from repro.obs.metrics import get_metrics
-from repro.speedtests.aggregate import directional_summary
-from repro.speedtests.mlab import MLabTest
+from repro.speedtests.aggregate import segment_median_p90
+from repro.speedtests.mlab import MLabTest, mlab_columns
 from repro.utils import persist
 from repro.utils.indexing import MultiColumnIndex
 
@@ -148,75 +148,29 @@ class TruthMap:
 
 
 def build_truth_map(
-    tests: list[MLabTest],
-    crosswalk: CrosswalkResult,
-    claimed_cells_by_provider: dict[int, set[int]],
-    res: int = 8,
-    max_radius_m: float = MAX_GEOLOCATION_RADIUS_M,
+    localization: MLabLocalization, tests: list[MLabTest]
 ) -> TruthMap:
     """Aggregate attributed MLab tests into per-(provider, cell) tiles.
 
-    Attribution and localization mirror
-    :func:`repro.dataset.likely_served.localize_mlab_tests` exactly —
-    crosswalk-union ASN attribution, the 20 km accuracy-radius cap,
-    candidate hexes intersected with the provider's claimed footprint —
-    so a tile's ``n_tests`` equals the localization's test count for the
-    same key.  On top of the counts, each tile accumulates the tests'
-    measured throughputs and aggregates them per direction
-    (:func:`repro.speedtests.aggregate.directional_summary`): an
-    unmeasured direction is ``NaN``, never ``0.0``.
+    Reduces ``localization.triples`` (so a tile's ``n_tests`` is the
+    localization's count for its key) over the measured throughputs of
+    ``tests``, the list the localization attributed; an unmeasured
+    direction is ``NaN``, never ``0.0``.
     """
+    triples = localization.triples
+    if triples is None:
+        raise ValueError("localization has no attribution triples (rebuilt from counts?)")
     with get_metrics().histogram("enrich_build_seconds", stage="truthmap").time():
-        asn_to_providers: dict[int, set[int]] = {}
-        for pid, asns in crosswalk.union.items():
-            for asn in asns:
-                asn_to_providers.setdefault(asn, set()).add(pid)
-
-        down_samples: dict[tuple[int, int], list[float]] = {}
-        up_samples: dict[tuple[int, int], list[float]] = {}
-        counts: dict[tuple[int, int], int] = {}
-        for test in tests:
-            if test.accuracy_radius_m > max_radius_m:
-                continue
-            providers = asn_to_providers.get(test.asn)
-            if not providers:
-                continue
-            candidates = set(
-                cells_within_radius(test.lat, test.lng, test.accuracy_radius_m, res)
-            )
-            for pid in providers:
-                claimed = claimed_cells_by_provider.get(pid)
-                if not claimed:
-                    continue
-                hits = candidates & claimed
-                for cell in hits:
-                    key = (pid, int(cell))
-                    counts[key] = counts.get(key, 0) + 1
-                    down_samples.setdefault(key, []).append(test.download_mbps)
-                    up_samples.setdefault(key, []).append(test.upload_mbps)
-
-        keys = sorted(counts)
-        n = len(keys)
-        provider_id = np.empty(n, dtype=np.int64)
-        cell = np.empty(n, dtype=np.uint64)
-        median_down = np.empty(n, dtype=np.float64)
-        p90_down = np.empty(n, dtype=np.float64)
-        median_up = np.empty(n, dtype=np.float64)
-        p90_up = np.empty(n, dtype=np.float64)
-        n_tests = np.empty(n, dtype=np.int64)
-        for i, key in enumerate(keys):
-            pid, c = key
-            summary = directional_summary(down_samples[key], up_samples[key])
-            provider_id[i] = pid
-            cell[i] = c
-            median_down[i] = summary.median_down
-            p90_down[i] = summary.p90_down
-            median_up[i] = summary.median_up
-            p90_up[i] = summary.p90_up
-            n_tests[i] = counts[key]
+        starts, n_tests = triples.key_runs()
+        tile = np.repeat(np.arange(starts.size), n_tests)
+        down, up = mlab_columns(tests, "download_mbps", "upload_mbps")
+        median_down, p90_down = segment_median_p90(
+            down[triples.test_row], tile, starts.size
+        )
+        median_up, p90_up = segment_median_p90(up[triples.test_row], tile, starts.size)
         return TruthMap(
-            provider_id=provider_id,
-            cell=cell,
+            provider_id=triples.provider_id[starts],
+            cell=triples.cell[starts],
             median_down=median_down,
             p90_down=p90_down,
             median_up=median_up,

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from repro.geo.geodesy import EARTH_RADIUS_M, haversine_m
+from repro.geo.geodesy import EARTH_RADIUS_M, haversine_m, haversine_m_vec
 from repro.utils.validation import check_latitude, check_longitude, check_positive
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "cells_to_axial_vec",
     "grid_neighbors",
     "cells_within_radius",
+    "cells_within_radius_vec",
     "cell_boundary",
     "cell_to_parent",
     "cell_to_children",
@@ -238,12 +239,15 @@ def latlng_to_cell_vec(lats: np.ndarray, lngs: np.ndarray, res: int) -> np.ndarr
     fix_r = ~fix_q & (dr > ds)
     q[fix_q] = -r[fix_q] - s[fix_q]
     r[fix_r] = -q[fix_r] - s[fix_r]
-    qi = q.astype(np.int64) + _COORD_OFFSET
-    ri = r.astype(np.int64) + _COORD_OFFSET
+    return _pack_vec(res, q.astype(np.int64), r.astype(np.int64))
+
+
+def _pack_vec(res: int, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`pack_cell` (no range check) for int64 axial arrays."""
     return (
         (np.uint64(res) << np.uint64(2 * _COORD_BITS))
-        | (qi.astype(np.uint64) << np.uint64(_COORD_BITS))
-        | ri.astype(np.uint64)
+        | ((q + _COORD_OFFSET).astype(np.uint64) << np.uint64(_COORD_BITS))
+        | (r + _COORD_OFFSET).astype(np.uint64)
     )
 
 
@@ -274,7 +278,12 @@ def cell_to_latlng_vec(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = (cells & np.uint64(_COORD_MASK)).astype(np.int64) - _COORD_OFFSET
     if cells.size == 0:
         return np.empty(0), np.empty(0)
-    size = edge_length_m(int(res.flat[0]))
+    return _axial_to_latlng_vec(q, r, int(res.flat[0]))
+
+
+def _axial_to_latlng_vec(q: np.ndarray, r: np.ndarray, res: int):
+    """Centroid (lat, lng) arrays of the cells at axial (q, r), one resolution."""
+    size = edge_length_m(res)
     x = size * _SQRT3 * (q + r / 2.0)
     y = size * 1.5 * r
     phi = y / EARTH_RADIUS_M
@@ -339,6 +348,20 @@ def grid_distance(cell_a: int, cell_b: int) -> int:
     return int((abs(dq) + abs(dr) + abs(dq + dr)) // 2)
 
 
+def _radius_ring(lat: float, lng: float, radius_m: float, res: int) -> int:
+    """Hex distance ``k`` whose disk around a point's cell covers the radius.
+
+    Adjacent centre spacing is sqrt(3) * edge in the projected plane.  The
+    sinusoidal projection shears shapes away from the central meridian by
+    up to sqrt(1 + (dlmb * sin(phi))^2); the disk is widened by that factor
+    (plus one ring for the point's offset inside its own cell).
+    """
+    dlmb = math.radians(_wrap_degrees(lng - CENTRAL_MERIDIAN_DEG))
+    shear = math.sqrt(1.0 + (dlmb * math.sin(math.radians(lat))) ** 2)
+    spacing = _SQRT3 * edge_length_m(res)
+    return int(math.ceil(shear * radius_m / spacing)) + 1
+
+
 def cells_within_radius(lat: float, lng: float, radius_m: float, res: int) -> list[int]:
     """Cells whose centroid lies within a geodesic radius of a point.
 
@@ -350,20 +373,106 @@ def cells_within_radius(lat: float, lng: float, radius_m: float, res: int) -> li
     check_positive(radius_m, "radius_m")
     _check_res(res)
     center = latlng_to_cell(lat, lng, res)
-    # Adjacent centre spacing is sqrt(3) * edge in the projected plane.  The
-    # sinusoidal projection shears shapes away from the central meridian by
-    # up to sqrt(1 + (dlmb * sin(phi))^2); widen the candidate disk by that
-    # factor, then filter by true geodesic distance.
-    dlmb = math.radians(_wrap_degrees(lng - CENTRAL_MERIDIAN_DEG))
-    shear = math.sqrt(1.0 + (dlmb * math.sin(math.radians(lat))) ** 2)
-    spacing = _SQRT3 * edge_length_m(res)
-    k = int(math.ceil(shear * radius_m / spacing)) + 1
     out = []
-    for cell in grid_disk(center, k):
+    for cell in grid_disk(center, _radius_ring(lat, lng, radius_m, res)):
         clat, clng = cell_to_latlng(cell)
         if haversine_m(lat, lng, clat, clng) <= radius_m:
             out.append(cell)
     return out
+
+
+#: Candidate (point, cell) pairs materialized per vectorized step; bounds
+#: the transient memory of :func:`cells_within_radius_vec` (~10 float64 /
+#: int64 columns of this length).
+_RADIUS_CANDIDATE_BUDGET = 1 << 13
+
+#: Candidates whose vectorized distance is this close to the radius (m)
+#: are re-decided by the scalar path, so last-ulp differences between
+#: ``math`` and NumPy transcendentals cannot flip a boundary cell.
+_RADIUS_RECHECK_M = 1e-3
+
+
+def _disk_template(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Axial offsets of the k-disk, ordered by hex distance.
+
+    The first ``3 j (j + 1) + 1`` offsets are exactly the j-disk, so one
+    template serves every smaller ``j``.
+    """
+    dq, dr = np.meshgrid(np.arange(-k, k + 1), np.arange(-k, k + 1), indexing="ij")
+    dq, dr = dq.ravel(), dr.ravel()
+    dist = (np.abs(dq) + np.abs(dr) + np.abs(dq + dr)) // 2
+    order = np.argsort(dist, kind="stable")
+    keep = order[dist[order] <= k]
+    return dq[keep], dr[keep]
+
+
+def cells_within_radius_vec(
+    lats, lngs, radii, res: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`cells_within_radius` for many points at once.
+
+    Returns ``(row, cell)``: int64 point rows and the uint64 cells whose
+    centroid lies within ``radii[row]`` metres of point ``row`` — per
+    point, exactly the set the scalar function returns.  Each point keeps
+    the scalar's candidate ring ``k`` (shear widening included); its
+    candidate disk is the ``k``-prefix of one axial offset template, and
+    points are expanded in chunks of bounded candidate count.  Distances
+    near the radius (and ``k`` values near an integer step) are re-decided
+    by the scalar code.
+    """
+    _check_res(res)
+    lats = np.asarray(lats, dtype=np.float64).ravel()
+    lngs = np.asarray(lngs, dtype=np.float64).ravel()
+    radii = np.asarray(radii, dtype=np.float64).ravel()
+    if not lats.size == lngs.size == radii.size:
+        raise ValueError("lats, lngs and radii must have equal length")
+    if not (np.isfinite(lats) & (np.abs(lats) <= 90.0)).all():
+        raise ValueError("lats must be in [-90, 90]")
+    if not (np.isfinite(lngs) & (np.abs(lngs) <= 180.0)).all():
+        raise ValueError("lngs must be in [-180, 180]")
+    if not (radii > 0).all():
+        raise ValueError("radii must be > 0")
+    if lats.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint64)
+
+    _, center_q, center_r = cells_to_axial_vec(latlng_to_cell_vec(lats, lngs, res))
+    dlmb = np.radians((lngs - CENTRAL_MERIDIAN_DEG + 180.0) % 360.0 - 180.0)
+    shear = np.sqrt(1.0 + (dlmb * np.sin(np.radians(lats))) ** 2)
+    span = shear * radii / (_SQRT3 * edge_length_m(res))
+    k = np.ceil(span).astype(np.int64) + 1
+    near_step = np.abs(span - np.rint(span)) <= 1e-9 * np.maximum(span, 1.0)
+    for i in np.flatnonzero(near_step).tolist():
+        k[i] = _radius_ring(float(lats[i]), float(lngs[i]), float(radii[i]), res)
+
+    # Point i's candidates are the first n_disk[i] template offsets around
+    # its centre, expanded raggedly in chunks of about the budget.
+    n_disk = 3 * k * (k + 1) + 1
+    template_q, template_r = _disk_template(int(k.max()))
+    ends = np.cumsum(n_disk)
+    rows_out, cells_out = [], []
+    start = 0
+    while start < lats.size:
+        limit = ends[start] - n_disk[start] + _RADIUS_CANDIDATE_BUDGET
+        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        reps = n_disk[start:stop]
+        point = np.repeat(np.arange(start, stop), reps)
+        offset = np.arange(point.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        q = center_q[point] + template_q[offset]
+        r = center_r[point] + template_r[offset]
+        clat, clng = _axial_to_latlng_vec(q, r, res)
+        d = haversine_m_vec(lats[point], lngs[point], clat, clng)
+        radius = radii[point]
+        inside = d <= radius
+        near = np.abs(d - radius) <= _RADIUS_RECHECK_M
+        for j in np.flatnonzero(near).tolist():
+            p = point[j]
+            clat_j, clng_j = cell_to_latlng(pack_cell(res, int(q[j]), int(r[j])))
+            d_j = haversine_m(float(lats[p]), float(lngs[p]), clat_j, clng_j)
+            inside[j] = d_j <= float(radius[j])
+        rows_out.append(point[inside])
+        cells_out.append(_pack_vec(res, q[inside], r[inside]))
+        start = stop
+    return np.concatenate(rows_out), np.concatenate(cells_out)
 
 
 def cell_boundary(cell: int) -> list[tuple[float, float]]:

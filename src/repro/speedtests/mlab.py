@@ -23,7 +23,7 @@ from repro.fcc.fabric import Fabric
 from repro.speedtests.geolocation import GeolocationModel
 from repro.utils.rng import stream_rng
 
-__all__ = ["MLabConfig", "MLabTest", "generate_mlab_tests"]
+__all__ = ["MLabConfig", "MLabTest", "generate_mlab_tests", "mlab_columns"]
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,19 @@ class MLabTest:
     download_mbps: float
     upload_mbps: float
     latency_ms: float
+
+
+def mlab_columns(tests: list[MLabTest], *names: str) -> list[np.ndarray]:
+    """One array per named :class:`MLabTest` field, in test order
+    (``asn`` as int64, every other field as float64)."""
+    return [
+        np.fromiter(
+            (getattr(t, name) for t in tests),
+            np.int64 if name == "asn" else np.float64,
+            len(tests),
+        )
+        for name in names
+    ]
 
 
 @dataclass(frozen=True)
