@@ -306,6 +306,6 @@ def enrichment_from_world(world: SimulationWorld):
     """
     from repro.enrich import ChallengeJoin, Enrichment, build_truth_map
 
-    truthmap = build_truth_map(world.localization, world.mlab_tests)
+    truthmap = build_truth_map(world.localization)
     challenges = ChallengeJoin.from_records(world.challenges)
     return Enrichment(truthmap, challenges=challenges)

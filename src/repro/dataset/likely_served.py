@@ -30,10 +30,10 @@ from repro.fcc.fabric import Fabric
 # ``cells_within_radius`` stays bound here: the end-to-end benchmark's
 # layer tracer wraps it by name in this module.
 from repro.geo import cells_within_radius  # noqa: F401
-from repro.geo.hexgrid import cells_within_radius_vec
+from repro.geo.hexgrid import iter_cells_within_radius
 from repro.geo.reproject import HexAggregate
 from repro.speedtests.mlab import MLabTest, mlab_columns
-from repro.utils.indexing import ColumnIndex, MultiColumnIndex
+from repro.utils.indexing import MultiColumnIndex
 
 __all__ = [
     "service_coverage_scores",
@@ -68,11 +68,17 @@ def service_coverage_scores(
 @dataclass(frozen=True)
 class AttributionTriples:
     """Every (test, provider, cell) hit of one attribution pass, sorted by
-    (provider_id, cell, test_row); ``test_row`` indexes the test list."""
+    (provider_id, cell, test_row); ``test_row`` indexes the test list.
+
+    Each hit also carries its test's measured throughputs, so the truth
+    map reduces the triples without going back to the test list.
+    """
 
     test_row: np.ndarray  # int64
     provider_id: np.ndarray  # int64
     cell: np.ndarray  # uint64
+    download_mbps: np.ndarray  # float64, the hit's test's measurement
+    upload_mbps: np.ndarray  # float64
 
     def key_runs(self) -> tuple[np.ndarray, np.ndarray]:
         """(start offset, length) of each distinct (provider, cell) run."""
@@ -141,10 +147,6 @@ class MLabLocalization:
         return self._count_index, self._count_values
 
 
-#: Attributed tests per radius-kernel chunk (bounds transient memory).
-_LOCALIZE_CHUNK_TESTS = 128
-
-
 def localize_mlab_tests(
     tests: list[MLabTest],
     crosswalk: CrosswalkResult,
@@ -157,11 +159,12 @@ def localize_mlab_tests(
     Each test's candidate hexes (centroids within the accuracy radius) are
     intersected with the claimed footprint of every provider its ASN maps
     to.  Shared ASNs legitimately attribute one test to several providers.
-    Vectorized over chunks of tests; the :class:`AttributionTriples` it
-    keeps are what the truth map reduces, so nothing attributes twice.
+    Vectorized over the radius kernel's candidate chunks; the
+    :class:`AttributionTriples` it keeps are what the truth map reduces,
+    so nothing attributes twice.
     """
-    asn, lat, lng, radius = mlab_columns(
-        tests, "asn", "lat", "lng", "accuracy_radius_m"
+    asn, lat, lng, radius, down, up = mlab_columns(
+        tests, "asn", "lat", "lng", "accuracy_radius_m", "download_mbps", "upload_mbps"
     )
     pairs = [(a, pid) for pid, asns in crosswalk.union.items() for a in asns]
     pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
@@ -176,18 +179,13 @@ def localize_mlab_tests(
     footprint = MultiColumnIndex(
         np.repeat(np.fromiter(claimed, np.int64), sizes), claimed_cells
     )
-    any_claim = ColumnIndex(np.unique(claimed_cells))
 
     parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.uint64))]
     kept = np.flatnonzero(~too_wide & ~unattributed)
-    for start in range(0, kept.size, _LOCALIZE_CHUNK_TESTS):
-        chunk = kept[start : start + _LOCALIZE_CHUNK_TESTS]
-        point, cell = cells_within_radius_vec(
-            lat[chunk], lng[chunk], radius[chunk], res
-        )
-        # Keep claimed cells, then expand each candidate over its providers.
-        claimed_by_any = any_claim.positions(cell) >= 0
-        row, cell = chunk[point[claimed_by_any]], cell[claimed_by_any]
+    candidates = iter_cells_within_radius(lat[kept], lng[kept], radius[kept], res)
+    for point, cell in candidates:
+        # Expand each candidate over its test's providers; keep claimed ones.
+        row = kept[point]
         reps = n_providers[row]
         offsets = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
         pid = pair_pid[np.repeat(first[row], reps) + offsets]
@@ -196,7 +194,8 @@ def localize_mlab_tests(
         parts.append((row[hit], pid[hit], cell[hit]))
     row, pid, cell = (np.concatenate(column) for column in zip(*parts))
     order = np.lexsort((row, cell, pid))
-    triples = AttributionTriples(row[order], pid[order], cell[order])
+    row = row[order]
+    triples = AttributionTriples(row, pid[order], cell[order], down[row], up[row])
 
     starts, counts = triples.key_runs()
     key_pid, key_cell = triples.provider_id[starts], triples.cell[starts]

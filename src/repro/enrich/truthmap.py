@@ -30,7 +30,6 @@ from repro.dataset.likely_served import MLabLocalization
 from repro.geo import cells_within_radius  # noqa: F401
 from repro.obs.metrics import get_metrics
 from repro.speedtests.aggregate import segment_median_p90
-from repro.speedtests.mlab import MLabTest, mlab_columns
 from repro.utils import persist
 from repro.utils.indexing import MultiColumnIndex
 
@@ -147,15 +146,12 @@ class TruthMap:
         return out
 
 
-def build_truth_map(
-    localization: MLabLocalization, tests: list[MLabTest]
-) -> TruthMap:
+def build_truth_map(localization: MLabLocalization) -> TruthMap:
     """Aggregate attributed MLab tests into per-(provider, cell) tiles.
 
     Reduces ``localization.triples`` (so a tile's ``n_tests`` is the
-    localization's count for its key) over the measured throughputs of
-    ``tests``, the list the localization attributed; an unmeasured
-    direction is ``NaN``, never ``0.0``.
+    localization's count for its key) over the measured throughputs each
+    triple carries; an unmeasured direction is ``NaN``, never ``0.0``.
     """
     triples = localization.triples
     if triples is None:
@@ -163,11 +159,10 @@ def build_truth_map(
     with get_metrics().histogram("enrich_build_seconds", stage="truthmap").time():
         starts, n_tests = triples.key_runs()
         tile = np.repeat(np.arange(starts.size), n_tests)
-        down, up = mlab_columns(tests, "download_mbps", "upload_mbps")
         median_down, p90_down = segment_median_p90(
-            down[triples.test_row], tile, starts.size
+            triples.download_mbps, tile, starts.size
         )
-        median_up, p90_up = segment_median_p90(up[triples.test_row], tile, starts.size)
+        median_up, p90_up = segment_median_p90(triples.upload_mbps, tile, starts.size)
         return TruthMap(
             provider_id=triples.provider_id[starts],
             cell=triples.cell[starts],

@@ -29,6 +29,7 @@ coordinate.  Identifiers are stable across processes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -55,6 +56,7 @@ __all__ = [
     "grid_neighbors",
     "cells_within_radius",
     "cells_within_radius_vec",
+    "iter_cells_within_radius",
     "cell_boundary",
     "cell_to_parent",
     "cell_to_children",
@@ -382,8 +384,9 @@ def cells_within_radius(lat: float, lng: float, radius_m: float, res: int) -> li
 
 
 #: Candidate (point, cell) pairs materialized per vectorized step; bounds
-#: the transient memory of :func:`cells_within_radius_vec` (~10 float64 /
-#: int64 columns of this length).
+#: the transient memory of :func:`iter_cells_within_radius` and of the
+#: per-chunk work of its callers (~10 float64 / int64 columns of this
+#: length).
 _RADIUS_CANDIDATE_BUDGET = 1 << 13
 
 #: Candidates whose vectorized distance is this close to the radius (m)
@@ -406,19 +409,21 @@ def _disk_template(k: int) -> tuple[np.ndarray, np.ndarray]:
     return dq[keep], dr[keep]
 
 
-def cells_within_radius_vec(
+def iter_cells_within_radius(
     lats, lngs, radii, res: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`cells_within_radius` for many points at once.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`cells_within_radius` for many points, one chunk at a time.
 
-    Returns ``(row, cell)``: int64 point rows and the uint64 cells whose
-    centroid lies within ``radii[row]`` metres of point ``row`` — per
-    point, exactly the set the scalar function returns.  Each point keeps
-    the scalar's candidate ring ``k`` (shear widening included); its
-    candidate disk is the ``k``-prefix of one axial offset template, and
-    points are expanded in chunks of bounded candidate count.  Distances
-    near the radius (and ``k`` values near an integer step) are re-decided
-    by the scalar code.
+    Yields ``(row, cell)`` chunks: int64 point rows and the uint64 cells
+    whose centroid lies within ``radii[row]`` metres of point ``row``.
+    Over all chunks, each point gets exactly the set the scalar function
+    returns.  Each point keeps the scalar's candidate ring ``k`` (shear
+    widening included); its candidate disk is the ``k``-prefix of one
+    axial offset template.  Points are expanded in chunks of about
+    ``_RADIUS_CANDIDATE_BUDGET`` candidates, which is the one bound on the
+    transient memory of a caller that filters each chunk as it arrives.
+    Distances near the radius (and ``k`` values near an integer step) are
+    re-decided by the scalar code.
     """
     _check_res(res)
     lats = np.asarray(lats, dtype=np.float64).ravel()
@@ -433,7 +438,7 @@ def cells_within_radius_vec(
     if not (radii > 0).all():
         raise ValueError("radii must be > 0")
     if lats.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint64)
+        return
 
     _, center_q, center_r = cells_to_axial_vec(latlng_to_cell_vec(lats, lngs, res))
     dlmb = np.radians((lngs - CENTRAL_MERIDIAN_DEG + 180.0) % 360.0 - 180.0)
@@ -449,7 +454,6 @@ def cells_within_radius_vec(
     n_disk = 3 * k * (k + 1) + 1
     template_q, template_r = _disk_template(int(k.max()))
     ends = np.cumsum(n_disk)
-    rows_out, cells_out = [], []
     start = 0
     while start < lats.size:
         limit = ends[start] - n_disk[start] + _RADIUS_CANDIDATE_BUDGET
@@ -469,10 +473,19 @@ def cells_within_radius_vec(
             clat_j, clng_j = cell_to_latlng(pack_cell(res, int(q[j]), int(r[j])))
             d_j = haversine_m(float(lats[p]), float(lngs[p]), clat_j, clng_j)
             inside[j] = d_j <= float(radius[j])
-        rows_out.append(point[inside])
-        cells_out.append(_pack_vec(res, q[inside], r[inside]))
+        yield point[inside], _pack_vec(res, q[inside], r[inside])
         start = stop
-    return np.concatenate(rows_out), np.concatenate(cells_out)
+
+
+def cells_within_radius_vec(
+    lats, lngs, radii, res: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`cells_within_radius` for many points at once: every chunk of
+    :func:`iter_cells_within_radius`, concatenated into ``(row, cell)``."""
+    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint64))]
+    parts.extend(iter_cells_within_radius(lats, lngs, radii, res))
+    rows, cells = zip(*parts)
+    return np.concatenate(rows), np.concatenate(cells)
 
 
 def cell_boundary(cell: int) -> list[tuple[float, float]]:

@@ -117,10 +117,12 @@ def test_truth_map_matches_per_tile_directional_summary(tiles, seed):
             test_row=np.array([r for _, _, r in triples], dtype=np.int64),
             provider_id=np.array([p for p, _, _ in triples], dtype=np.int64),
             cell=np.array([c for _, c, _ in triples], dtype=np.uint64),
+            download_mbps=np.array([tests[r].download_mbps for *_, r in triples]),
+            upload_mbps=np.array([tests[r].upload_mbps for *_, r in triples]),
         ),
     )
     with np.errstate(all="ignore"):
-        tm = build_truth_map(localization, tests)
+        tm = build_truth_map(localization)
         ref = scalar_truth_rows(tests, hits)
     for name, dtype in _COLUMNS:
         got = getattr(tm, name)
@@ -137,7 +139,7 @@ def test_truth_map_refuses_a_localization_without_triples():
         n_dropped_unattributed=0,
     )
     with pytest.raises(ValueError, match="triples"):
-        build_truth_map(localization, [])
+        build_truth_map(localization)
 
 
 # -- edge cases --------------------------------------------------------------------
@@ -172,7 +174,7 @@ def test_empty_attribution_edge_cases(tests, claimed, dropped):
     assert len(localization.triples.test_row) == 0
     counts = localization.provider_test_counts(np.array([1]), np.array([_CELL], np.uint64))
     assert counts.tolist() == [0]
-    tm = build_truth_map(localization, tests)
+    tm = build_truth_map(localization)
     assert len(tm) == 0
     assert all(getattr(tm, name).dtype == dtype for name, dtype in _COLUMNS)
 
@@ -222,7 +224,7 @@ def test_world_attribution_matches_the_scalar_oracle(world_slice):
         len(hits[k]) for k in keys
     ]
 
-    tm = build_truth_map(localization, tests)
+    tm = build_truth_map(localization)
     ref = scalar_truth_rows(tests, hits)
     for name, dtype in _COLUMNS:
         got = getattr(tm, name)
