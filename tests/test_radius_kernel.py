@@ -82,6 +82,26 @@ def test_vec_equals_scalar_on_a_mixed_batch():
     _assert_matches_scalar(lats.tolist(), lngs.tolist(), radii.tolist(), 8)
 
 
+def test_chunks_hold_whole_points_within_the_candidate_budget():
+    # The attribution pass filters each chunk as it arrives, so the
+    # budget is the one bound on its transient memory.
+    rng = np.random.default_rng(5)
+    n = 60
+    lats, lngs = rng.uniform(30, 45, n), rng.uniform(-120, -80, n)
+    radii = rng.uniform(2_000.0, 20_000.0, n)
+    chunks = list(hg.iter_cells_within_radius(lats, lngs, radii, 8))
+    assert len(chunks) > 1
+    seen = -1
+    for rows, _ in chunks:
+        points = np.unique(rows)
+        assert points[0] > seen  # a point never spans two chunks
+        seen = points[-1]
+        disks = [3 * k * (k + 1) + 1 for k in (
+            hg._radius_ring(lats[p], lngs[p], radii[p], 8) for p in points.tolist()
+        )]
+        assert len(disks) == 1 or sum(disks) <= hg._RADIUS_CANDIDATE_BUDGET
+
+
 @pytest.mark.parametrize("res", [6, 8, 9])
 @pytest.mark.parametrize("lat, lng", [(61.25, 37.5), (40.1, -150.3), (-33.3, 151.2)])
 def test_centroid_exactly_on_the_radius_is_inside(lat, lng, res):
