@@ -67,7 +67,7 @@ def inject_jcc(fabric, universe, seed: int = 0) -> None:
     res = fabric.config.hex_resolution
     occupied = set(fabric.cells_in_state("OH"))
     anchor_cell = hexgrid.latlng_to_cell(anchor.lat, anchor.lng, res)
-    true_cells = {int(c) for c in hexgrid.grid_disk(anchor_cell, 5)} & occupied
+    true_cells = occupied.intersection(hexgrid.grid_disk_vec([anchor_cell], 5)[1].tolist())
 
     # The fabricated claim covered a real-but-*unserved* community to the
     # west — JCC's goal was to keep that market ineligible for BEAD funding,
@@ -80,16 +80,27 @@ def inject_jcc(fabric, universe, seed: int = 0) -> None:
     west_lat, west_lng = destination_point(anchor.lat, anchor.lng, 270.0, 10_000.0)
     others = [t for t in towns if (t.lat, t.lng) != (anchor.lat, anchor.lng)]
 
-    def _target_score(town) -> float:
-        distance = abs(town.lat - west_lat) + abs(town.lng - west_lng)
-        cell = hexgrid.latlng_to_cell(town.lat, town.lng, res)
-        disk = {int(c) for c in hexgrid.grid_disk(cell, 4)} & occupied
-        unserved_frac = len(disk - served_by_any) / len(disk) if disk else 0.0
-        return distance - unserved_frac  # near and unserved is best
-
-    target = min(others, key=_target_score)
+    # Near and unserved is best: score each town by its distance to the
+    # western point minus the unserved fraction of the occupied cells in
+    # its 4-disk (every town's disk in one vectorized expansion).
+    lats = np.array([t.lat for t in others])
+    lngs = np.array([t.lng for t in others])
+    rows, disks = hexgrid.grid_disk_vec(hexgrid.latlng_to_cell_vec(lats, lngs, res), 4)
+    occupied_arr = np.fromiter(occupied, dtype=np.uint64, count=len(occupied))
+    served_arr = np.fromiter(served_by_any, dtype=np.uint64, count=len(served_by_any))
+    in_disk = np.isin(disks, occupied_arr)
+    unserved = in_disk & ~np.isin(disks, served_arr)
+    n_disk = np.bincount(rows[in_disk], minlength=len(others))
+    n_unserved = np.bincount(rows[unserved], minlength=len(others))
+    unserved_frac = np.divide(
+        n_unserved, n_disk, out=np.zeros(len(others)), where=n_disk > 0
+    )
+    distance = np.abs(lats - west_lat) + np.abs(lngs - west_lng)
+    target = others[int(np.argmin(distance - unserved_frac))]
     fake_center = hexgrid.latlng_to_cell(target.lat, target.lng, res)
-    region = ({int(c) for c in hexgrid.grid_disk(fake_center, 4)} & occupied) - true_cells
+    region = occupied.intersection(
+        hexgrid.grid_disk_vec([fake_center], 4)[1].tolist()
+    ) - true_cells
 
     tier = ServiceTier(technology=40, max_download_mbps=400.0, max_upload_mbps=20.0, low_latency=True)
     provider = Provider(

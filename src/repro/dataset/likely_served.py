@@ -33,7 +33,7 @@ from repro.geo import cells_within_radius  # noqa: F401
 from repro.geo.hexgrid import iter_cells_within_radius
 from repro.geo.reproject import HexAggregate
 from repro.speedtests.mlab import MLabTest, mlab_columns
-from repro.utils.indexing import MultiColumnIndex
+from repro.utils.indexing import MultiColumnIndex, ragged_arange
 
 __all__ = [
     "service_coverage_scores",
@@ -56,13 +56,14 @@ def service_coverage_scores(
     Cells with Ookla data but no Fabric locations are skipped (nothing to
     serve); cells with locations but no tests score 0.
     """
-    scores: dict[int, float] = {}
-    for cell in fabric.occupied_cells:
-        n_bsl = fabric.bsl_count_in_cell(cell)
-        agg = hex_aggregates.get(cell)
-        devices = agg.devices if agg is not None else 0
-        scores[cell] = devices / n_bsl if n_bsl else 0.0
-    return scores
+    cells = fabric.occupied_cells
+    n_bsl = fabric.bsl_counts_in_cells(cells)
+    devices = np.array(
+        [agg.devices if (agg := hex_aggregates.get(c)) is not None else 0 for c in cells],
+        dtype=np.int64,
+    )
+    scores = np.divide(devices, n_bsl, out=np.zeros(n_bsl.size), where=n_bsl > 0)
+    return dict(zip(cells, scores.tolist()))
 
 
 @dataclass(frozen=True)
@@ -187,8 +188,7 @@ def localize_mlab_tests(
         # Expand each candidate over its test's providers; keep claimed ones.
         row = kept[point]
         reps = n_providers[row]
-        offsets = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        pid = pair_pid[np.repeat(first[row], reps) + offsets]
+        pid = pair_pid[np.repeat(first[row], reps) + ragged_arange(reps)]
         row, cell = np.repeat(row, reps), np.repeat(cell, reps)
         hit = footprint.positions(pid, cell) >= 0
         parts.append((row[hit], pid[hit], cell[hit]))

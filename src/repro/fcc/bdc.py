@@ -46,7 +46,7 @@ import numpy as np
 from repro.fcc.fabric import Fabric
 from repro.fcc.providers import ProviderUniverse
 from repro.fcc.states import STATES
-from repro.utils.indexing import MultiColumnIndex
+from repro.utils.indexing import MultiColumnIndex, ragged_arange
 from repro.utils.rng import stream_rng
 
 __all__ = [
@@ -329,58 +329,83 @@ def generate_filings(
     fraction of the hex's BSLs (the paper's "percentage of locations
     claimed" feature).  Records in overclaimed hexes carry
     ``truly_served=False``.
+
+    Rows come provider by provider (universe order), footprint by
+    footprint (insertion order), cell by cell (ascending).  The kernel
+    records one entry per claimed cell, maps every entry onto the
+    Fabric's cell-sorted BSL layout at once, and expands the entry
+    columns with ``np.repeat``; the only per-cell Python work left is the
+    ``rng.choice`` of a cell whose BSLs are partly claimed, drawn in that
+    same order from the provider's own stream.
     """
-    cols: dict[str, list[np.ndarray]] = {
-        "provider_id": [], "bsl_id": [], "technology": [], "cell": [],
-        "state_idx": [], "down": [], "up": [], "lowlat": [], "served": [],
-    }
     state_index = {s.abbr: i for i, s in enumerate(STATES)}
+    by_provider: dict[int, list] = {}
+    for (pid, state, tech), fp in universe.footprints.items():
+        by_provider.setdefault(pid, []).append((state, tech, fp))
+
+    # One entry per (footprint, claimed cell), in output order: one row
+    # per footprint first, expanded to its claimed cells below.
+    rngs, fractions, cells, served, footprint_rows = [], [], [], [], []
     for provider in universe.providers:
         rng = stream_rng(seed, "filings", provider.provider_id)
-        claim_fraction = float(rng.uniform(*claim_fraction_range))
-        for (pid, state, tech), fp in universe.footprints.items():
-            if pid != provider.provider_id:
-                continue
+        rngs.append(rng)
+        fractions.append(float(rng.uniform(*claim_fraction_range)))
+        for state, tech, fp in by_provider.get(provider.provider_id, ()):
             tier = provider.tier_for(tech)
-            filing_state = state_index[state]
-            for cell in sorted(fp.claimed_cells):
-                rows = fabric.bsls_in_cell(cell)
-                # Hex cells can straddle state borders; a filing only covers
-                # the BSLs in the filing's own state.
-                rows = rows[fabric.state_idx[rows] == filing_state]
-                if rows.size == 0:
-                    continue
-                take = max(1, int(round(claim_fraction * rows.size)))
-                chosen = (
-                    rows
-                    if take >= rows.size
-                    else rng.choice(rows, size=take, replace=False)
-                )
-                n = chosen.size
-                served = cell in fp.true_cells
-                cols["provider_id"].append(np.full(n, pid, dtype=np.int64))
-                cols["bsl_id"].append(chosen.astype(np.int64))
-                cols["technology"].append(np.full(n, tech, dtype=np.int16))
-                cols["cell"].append(np.full(n, cell, dtype=np.uint64))
-                cols["state_idx"].append(fabric.state_idx[chosen].astype(np.int16))
-                cols["down"].append(np.full(n, tier.max_download_mbps))
-                cols["up"].append(np.full(n, tier.max_upload_mbps))
-                cols["lowlat"].append(np.full(n, tier.low_latency, dtype=bool))
-                cols["served"].append(np.full(n, served, dtype=bool))
+            claimed = np.sort(
+                np.fromiter(fp.claimed_cells, dtype=np.uint64, count=len(fp.claimed_cells))
+            )
+            true = np.fromiter(fp.true_cells, dtype=np.uint64, count=len(fp.true_cells))
+            cells.append(claimed)
+            served.append(np.isin(claimed, true))
+            footprint_rows.append((
+                len(rngs) - 1, provider.provider_id, tech, state_index[state],
+                tier.max_download_mbps, tier.max_upload_mbps, tier.low_latency,
+                claimed.size,
+            ))
+    provider_row, provider_id, technology, filing_state, down, up, lowlat, n_cells = (
+        list(zip(*footprint_rows)) or [()] * 8
+    )
+    n_cells = np.asarray(n_cells, dtype=np.int64)
 
-    def _cat(name, dtype):
-        if not cols[name]:
-            return np.empty(0, dtype=dtype)
-        return np.concatenate(cols[name]).astype(dtype)
+    def _per_cell(values, dtype):
+        return np.repeat(np.asarray(values, dtype=dtype), n_cells)
 
+    cell = np.concatenate([np.empty(0, dtype=np.uint64), *cells])
+    served = np.concatenate([np.empty(0, dtype=bool), *served])
+    provider_row = _per_cell(provider_row, np.int64)
+
+    # Every claimed cell's BSLs; hex cells can straddle state borders and
+    # a filing only covers the BSLs in the filing's own state.
+    entry, bsl = fabric.bsls_in_cells(cell)
+    in_state = fabric.state_idx[bsl] == _per_cell(filing_state, np.int16)[entry]
+    entry, bsl = entry[in_state], bsl[in_state]
+    n = np.bincount(entry, minlength=cell.size)
+    starts = np.cumsum(n) - n
+    fraction = np.asarray(fractions, dtype=np.float64)[provider_row]
+    take = np.where(n > 0, np.maximum(1, np.rint(fraction * n).astype(np.int64)), 0)
+    partial = take < n
+    take = np.minimum(take, n)
+
+    # Output slot j of entry e reads candidate starts[e] + j, except in
+    # partly claimed cells, whose slots hold the provider's rng.choice.
+    out_starts = np.cumsum(take) - take
+    pick = np.repeat(starts, take) + ragged_arange(take)
+    for e in np.flatnonzero(partial).tolist():
+        rng = rngs[provider_row[e]]
+        k = int(take[e])
+        pick[out_starts[e] : out_starts[e] + k] = starts[e] + rng.choice(
+            int(n[e]), size=k, replace=False
+        )
+    bsl_id = bsl[pick].astype(np.int64)
     return AvailabilityTable(
-        provider_id=_cat("provider_id", np.int64),
-        bsl_id=_cat("bsl_id", np.int64),
-        technology=_cat("technology", np.int16),
-        cell=_cat("cell", np.uint64),
-        state_idx=_cat("state_idx", np.int16),
-        max_download_mbps=_cat("down", np.float64),
-        max_upload_mbps=_cat("up", np.float64),
-        low_latency=_cat("lowlat", bool),
-        truly_served=_cat("served", bool),
+        provider_id=np.repeat(_per_cell(provider_id, np.int64), take),
+        bsl_id=bsl_id,
+        technology=np.repeat(_per_cell(technology, np.int16), take),
+        cell=np.repeat(cell, take),
+        state_idx=fabric.state_idx[bsl_id].astype(np.int16),
+        max_download_mbps=np.repeat(_per_cell(down, np.float64), take),
+        max_upload_mbps=np.repeat(_per_cell(up, np.float64), take),
+        low_latency=np.repeat(_per_cell(lowlat, bool), take),
+        truly_served=np.repeat(served, take),
     )

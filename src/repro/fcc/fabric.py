@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.fcc.states import STATES, StateInfo, state_by_abbr
 from repro.geo import hexgrid
-from repro.utils.indexing import ColumnIndex
+from repro.utils.indexing import ColumnIndex, ragged_arange
 from repro.utils.rng import stream_rng
 
 __all__ = ["FabricConfig", "BSL", "Town", "Fabric", "generate_fabric"]
@@ -116,21 +116,30 @@ class Fabric:
         self.towns = towns
         self.config = config
         self._state_abbrs = np.array([s.abbr for s in STATES])
-        # cell id -> array of BSL row indices
+        self._towns_by_state: dict[str, list[Town]] = {}
+        for town in towns:
+            self._towns_by_state.setdefault(town.state, []).append(town)
+        # Cell-sorted layout: the BSL rows of occupied cell ``i`` are
+        # ``_bsl_order[_cell_starts[i] : _cell_starts[i] + _occupied_counts[i]]``,
+        # ascending within the cell.
         order = np.argsort(cells, kind="stable")
         sorted_cells = cells[order]
-        boundaries = np.r_[0, np.where(np.diff(sorted_cells))[0] + 1, cells.size]
-        self._by_cell: dict[int, np.ndarray] = {
-            int(sorted_cells[boundaries[i]]): order[boundaries[i] : boundaries[i + 1]]
-            for i in range(boundaries.size - 1)
-        }
-        self._by_state: dict[str, np.ndarray] = {
-            s.abbr: np.where(state_idx == i)[0] for i, s in enumerate(STATES)
-        }
-        # Occupied-cell index + per-cell BSL counts for batched lookups.
-        occupied = sorted_cells[boundaries[:-1]].astype(np.uint64)
-        self._occupied_index = ColumnIndex(occupied)
-        self._occupied_counts = np.diff(boundaries).astype(np.int64)
+        first = np.r_[True, sorted_cells[1:] != sorted_cells[:-1]][: cells.size]
+        self._bsl_order = order
+        self._cell_starts = np.flatnonzero(first)
+        self._occupied = sorted_cells[first].astype(np.uint64)
+        self._occupied_counts = np.diff(np.r_[self._cell_starts, cells.size]).astype(np.int64)
+        self._occupied_index = ColumnIndex(self._occupied)
+        by_state = np.argsort(state_idx, kind="stable")
+        self._by_state = _split_by_state(state_idx[by_state], by_state)
+        # One (state, cell) reduction: each state's distinct occupied cells.
+        pair = np.lexsort((cells, state_idx))
+        pair_state, pair_cell = state_idx[pair], cells[pair]
+        distinct = np.r_[
+            True,
+            (pair_state[1:] != pair_state[:-1]) | (pair_cell[1:] != pair_cell[:-1]),
+        ][: cells.size]
+        self._cells_by_state = _split_by_state(pair_state[distinct], pair_cell[distinct])
 
     # -- size and row access ------------------------------------------------
 
@@ -155,12 +164,32 @@ class Fabric:
 
     @property
     def occupied_cells(self) -> list[int]:
-        """Hex cells containing at least one BSL."""
-        return list(self._by_cell.keys())
+        """Hex cells containing at least one BSL, ascending."""
+        return self._occupied.tolist()
+
+    def bsls_in_cells(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`bsls_in_cell` for many cells at once.
+
+        Returns ``(row, bsl)``: int64 query rows and the BSL rows of
+        ``cells[row]``, each cell's BSLs ascending and queries in order.
+        Unoccupied cells contribute nothing.
+        """
+        cells = np.asarray(cells, dtype=np.uint64).ravel()
+        if self._occupied.size == 0 or cells.size == 0:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        pos = self._occupied_index.positions(cells)
+        found = pos >= 0
+        counts = np.where(found, self._occupied_counts[pos], 0)
+        starts = self._cell_starts[pos]
+        row = np.repeat(np.arange(cells.size, dtype=np.int64), counts)
+        return row, self._bsl_order[np.repeat(starts, counts) + ragged_arange(counts)]
 
     def bsls_in_cell(self, cell: int) -> np.ndarray:
-        """Row indices of BSLs in a hex cell (empty array if none)."""
-        return self._by_cell.get(int(cell), np.empty(0, dtype=np.int64))
+        """Row indices of BSLs in a hex cell, ascending (empty if none)."""
+        cell = int(cell)
+        if not 0 <= cell < 1 << 64:
+            return np.empty(0, dtype=np.int64)
+        return self.bsls_in_cells([cell])[1]
 
     def bsl_count_in_cell(self, cell: int) -> int:
         return int(self.bsls_in_cell(cell).size)
@@ -187,12 +216,12 @@ class Fabric:
         return self._by_state.get(abbr.upper(), np.empty(0, dtype=np.int64))
 
     def cells_in_state(self, abbr: str) -> list[int]:
-        """Distinct occupied cells in a state."""
-        rows = self.bsls_in_state(abbr)
-        return [int(c) for c in np.unique(self.cells[rows])]
+        """Distinct occupied cells in a state, ascending."""
+        state_by_abbr(abbr)  # validate
+        return self._cells_by_state[abbr.upper()].tolist()
 
     def towns_in_state(self, abbr: str) -> list[Town]:
-        return [t for t in self.towns if t.state == abbr.upper()]
+        return list(self._towns_by_state.get(abbr.upper(), ()))
 
     def state_of_cell(self, cell: int) -> str | None:
         """State of a cell's BSLs (None for unoccupied cells)."""
@@ -203,7 +232,14 @@ class Fabric:
 
     def bsls_per_cell_distribution(self) -> np.ndarray:
         """Array of per-occupied-cell BSL counts (paper Fig. 9)."""
-        return np.array([rows.size for rows in self._by_cell.values()])
+        return self._occupied_counts.copy()
+
+
+def _split_by_state(sorted_state: np.ndarray, values: np.ndarray) -> dict[str, np.ndarray]:
+    """Per state abbreviation, the slice of ``values`` whose (ascending)
+    ``sorted_state`` entry is that state's index."""
+    bounds = np.searchsorted(sorted_state, np.arange(len(STATES) + 1))
+    return {s.abbr: values[bounds[i] : bounds[i + 1]] for i, s in enumerate(STATES)}
 
 
 def _zipf_weights(n: int, exponent: float) -> np.ndarray:

@@ -402,6 +402,12 @@ class ProviderUniverse:
         return cells
 
 
+def _anchor_cells(fabric: Fabric, anchors: list[tuple[float, float]]) -> np.ndarray:
+    """The hex cell of every anchor town, in one vectorized conversion."""
+    lats, lngs = np.array(anchors, dtype=np.float64).reshape(-1, 2).T
+    return hexgrid.latlng_to_cell_vec(lats, lngs, fabric.config.hex_resolution)
+
+
 def _disk_footprint(
     fabric: Fabric,
     state: StateInfo,
@@ -410,11 +416,8 @@ def _disk_footprint(
     occupied: set[int],
 ) -> set[int]:
     """Occupied cells within ``radius`` rings of any anchor town."""
-    cells: set[int] = set()
-    for lat, lng in anchors:
-        center = hexgrid.latlng_to_cell(lat, lng, fabric.config.hex_resolution)
-        cells.update(int(c) for c in hexgrid.grid_disk(center, radius))
-    return cells & occupied
+    _, disks = hexgrid.grid_disk_vec(_anchor_cells(fabric, anchors), radius)
+    return occupied.intersection(disks.tolist())
 
 
 def _overclaim_cells(
@@ -444,13 +447,15 @@ def _overclaim_cells(
     target = min(target, candidates.size)
     if target == 0:
         return set()
-    dist = np.full(candidates.size, np.inf)
-    for lat, lng in anchors:
-        center = hexgrid.latlng_to_cell(lat, lng, fabric.config.hex_resolution)
-        dist = np.minimum(dist, hexgrid.grid_distance_vec(candidates, center))
+    # Hex distance to the nearest anchor: one (candidate, anchor) matrix.
+    _, q, r = hexgrid.cells_to_axial_vec(candidates)
+    _, anchor_q, anchor_r = hexgrid.cells_to_axial_vec(_anchor_cells(fabric, anchors))
+    dq, dr = q[:, None] - anchor_q, r[:, None] - anchor_r
+    hops = (np.abs(dq) + np.abs(dr) + np.abs(dq + dr)) // 2
+    dist = hops.astype(np.float64).min(axis=1, initial=np.inf)
     if served_by_any:
-        served_mask = np.array([int(c) in served_by_any for c in candidates])
-        dist = dist + served_penalty * served_mask
+        served = np.fromiter(served_by_any, dtype=np.uint64, count=len(served_by_any))
+        dist = dist + served_penalty * np.isin(candidates, served)
     jitter = rng.exponential(scale=max(2.0, 0.15 * float(np.median(dist))), size=dist.size)
     order = np.argsort(dist + jitter)
     return {int(candidates[i]) for i in order[:target]}

@@ -34,6 +34,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.geo.geodesy import EARTH_RADIUS_M, haversine_m, haversine_m_vec
+from repro.utils.indexing import ragged_arange
 from repro.utils.validation import check_latitude, check_longitude, check_positive
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "unpack_cell",
     "is_valid_cell",
     "grid_disk",
+    "grid_disk_vec",
     "grid_ring",
     "grid_distance",
     "grid_distance_vec",
@@ -220,11 +222,19 @@ def latlng_to_cell_vec(lats: np.ndarray, lngs: np.ndarray, res: int) -> np.ndarr
     """Vectorized :func:`latlng_to_cell`; returns a uint64 array.
 
     Values equal the scalar function's output element-wise (cell ids exceed
-    the int64 range at fine resolutions, hence uint64).
+    the int64 range at fine resolutions, hence uint64).  Like the scalar
+    function it raises ``ValueError`` for a NaN, infinite or out-of-range
+    coordinate, with the scalar's message for the first offending value.
     """
     _check_res(res)
     lats = np.asarray(lats, dtype=np.float64)
     lngs = np.asarray(lngs, dtype=np.float64)
+    bad_lat = ~(np.abs(lats) <= 90.0)
+    if bad_lat.any():
+        check_latitude(lats[bad_lat].flat[0])
+    bad_lng = ~(np.abs(lngs) <= 180.0)
+    if bad_lng.any():
+        check_longitude(lngs[bad_lng].flat[0])
     phi = np.radians(lats)
     dl = (lngs - CENTRAL_MERIDIAN_DEG + 180.0) % 360.0 - 180.0
     x = EARTH_RADIUS_M * np.radians(dl) * np.cos(phi)
@@ -244,10 +254,11 @@ def latlng_to_cell_vec(lats: np.ndarray, lngs: np.ndarray, res: int) -> np.ndarr
     return _pack_vec(res, q.astype(np.int64), r.astype(np.int64))
 
 
-def _pack_vec(res: int, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`pack_cell` (no range check) for int64 axial arrays."""
+def _pack_vec(res, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`pack_cell` (no range check) for int64 axial arrays;
+    ``res`` is one resolution or an array of them."""
     return (
-        (np.uint64(res) << np.uint64(2 * _COORD_BITS))
+        (np.asarray(res).astype(np.uint64) << np.uint64(2 * _COORD_BITS))
         | ((q + _COORD_OFFSET).astype(np.uint64) << np.uint64(_COORD_BITS))
         | (r + _COORD_OFFSET).astype(np.uint64)
     )
@@ -338,6 +349,29 @@ def grid_disk(cell: int, k: int) -> list[int]:
         for dr in range(max(-k, -dq - k), min(k, -dq + k) + 1):
             cells.append(pack_cell(res, q + dq, r + dr))
     return cells
+
+
+def grid_disk_vec(centers, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`grid_disk` around many centres at once.
+
+    Returns ``(row, cell)``: int64 centre rows and the uint64 cells within
+    hex-distance ``k`` of ``centers[row]``, each centre's disk in the
+    hex-distance order of :func:`_disk_template`.  Row by row the cell set
+    equals ``set(grid_disk(centers[row], k))``; duplicate centres get
+    duplicate disks.
+    """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    res, q, r = cells_to_axial_vec(np.asarray(centers, dtype=np.uint64).ravel())
+    template_q, template_r = _disk_template(int(k))
+    n_disk = template_q.size
+    row = np.repeat(np.arange(q.size, dtype=np.int64), n_disk)
+    cell = _pack_vec(
+        np.repeat(res, n_disk),
+        (q[:, None] + template_q).ravel(),
+        (r[:, None] + template_r).ravel(),
+    )
+    return row, cell
 
 
 def grid_distance(cell_a: int, cell_b: int) -> int:
@@ -431,16 +465,13 @@ def iter_cells_within_radius(
     radii = np.asarray(radii, dtype=np.float64).ravel()
     if not lats.size == lngs.size == radii.size:
         raise ValueError("lats, lngs and radii must have equal length")
-    if not (np.isfinite(lats) & (np.abs(lats) <= 90.0)).all():
-        raise ValueError("lats must be in [-90, 90]")
-    if not (np.isfinite(lngs) & (np.abs(lngs) <= 180.0)).all():
-        raise ValueError("lngs must be in [-180, 180]")
+    centers = latlng_to_cell_vec(lats, lngs, res)
     if not (radii > 0).all():
         raise ValueError("radii must be > 0")
     if lats.size == 0:
         return
 
-    _, center_q, center_r = cells_to_axial_vec(latlng_to_cell_vec(lats, lngs, res))
+    _, center_q, center_r = cells_to_axial_vec(centers)
     dlmb = np.radians((lngs - CENTRAL_MERIDIAN_DEG + 180.0) % 360.0 - 180.0)
     shear = np.sqrt(1.0 + (dlmb * np.sin(np.radians(lats))) ** 2)
     span = shear * radii / (_SQRT3 * edge_length_m(res))
@@ -460,7 +491,7 @@ def iter_cells_within_radius(
         stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
         reps = n_disk[start:stop]
         point = np.repeat(np.arange(start, stop), reps)
-        offset = np.arange(point.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        offset = ragged_arange(reps)
         q = center_q[point] + template_q[offset]
         r = center_r[point] + template_r[offset]
         clat, clng = _axial_to_latlng_vec(q, r, res)

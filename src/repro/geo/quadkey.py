@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.utils.validation import check_in_range
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
     "tile_to_quadkey",
     "quadkey_to_tile",
     "latlng_to_quadkey",
+    "latlng_to_quadkey_vec",
     "quadkey_to_bounds",
     "quadkey_to_center",
     "tile_size_m",
@@ -155,6 +158,36 @@ def latlng_to_quadkey(lat: float, lng: float, level: int = OOKLA_ZOOM) -> str:
     px, py = latlng_to_pixel(lat, lng, level)
     tx, ty = pixel_to_tile(px, py)
     return tile_to_quadkey(tx, ty, level)
+
+
+#: Pixel coordinates this close to an integer step are re-decided by the
+#: scalar :func:`latlng_to_pixel`, so last-ulp differences between
+#: ``math`` and NumPy transcendentals cannot move a point across a pixel
+#: (hence tile) edge.
+_PIXEL_RECHECK = 1e-6
+
+
+def latlng_to_quadkey_vec(lats, lngs, level: int = OOKLA_ZOOM) -> list[str]:
+    """:func:`latlng_to_quadkey` for many points; equal element-wise."""
+    size = map_size(level)
+    lats = np.asarray(lats, dtype=np.float64).ravel()
+    lngs = np.asarray(lngs, dtype=np.float64).ravel()
+    lat = np.clip(lats, MIN_LATITUDE, MAX_LATITUDE)
+    x = (np.clip(lngs, _MIN_LONGITUDE, _MAX_LONGITUDE) + 180.0) / 360.0
+    sin_lat = np.sin(lat * math.pi / 180.0)
+    y = 0.5 - np.log((1.0 + sin_lat) / (1.0 - sin_lat)) / (4.0 * math.pi)
+    fy = y * size + 0.5
+    px = np.clip(x * size + 0.5, 0, size - 1).astype(np.int64)
+    py = np.clip(fy, 0, size - 1).astype(np.int64)
+    recheck = ~np.isfinite(fy) | (np.abs(fy - np.rint(fy)) <= _PIXEL_RECHECK)
+    for i in np.flatnonzero(recheck).tolist():
+        px[i], py[i] = latlng_to_pixel(float(lats[i]), float(lngs[i]), level)
+    # Digit i (most significant first) is bit (level - 1 - i) of the tile x
+    # plus twice that bit of the tile y.
+    shifts = np.arange(level - 1, -1, -1)
+    digits = ((px[:, None] >> 8) >> shifts & 1) + 2 * ((py[:, None] >> 8) >> shifts & 1)
+    chars = np.ascontiguousarray(digits + ord("0"), dtype=np.uint8)
+    return chars.view(f"S{level}").ravel().astype(f"U{level}").tolist()
 
 
 def quadkey_to_bounds(quadkey: str) -> tuple[float, float, float, float]:

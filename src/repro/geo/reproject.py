@@ -14,9 +14,17 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.geo import hexgrid, quadkey as qk
 
-__all__ = ["OoklaTileAggregate", "HexAggregate", "quadkey_to_cells", "reproject_tiles"]
+__all__ = [
+    "OoklaTileAggregate",
+    "HexAggregate",
+    "quadkey_to_cells",
+    "quadkeys_to_cells",
+    "reproject_tiles",
+]
 
 
 @dataclass(frozen=True)
@@ -53,24 +61,60 @@ class HexAggregate:
         self.source_tiles.append(tile.quadkey)
 
 
-def quadkey_to_cells(quadkey: str, res: int) -> list[int]:
-    """Hex cells a quadkey tile overlaps.
+def _tile_sample_points(quadkeys: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(lat, lng) arrays of shape (n, 5): each tile's centre, then its SW,
+    SE, NW and NE corners.
 
-    Sampling the tile centre plus its four corners is exact whenever the tile
-    is smaller than the hex cell (the common case: a zoom-16 tile is ~0.37
-    km^2, a res-8 hex ~0.55 km^2) and a close over-approximation otherwise.
+    Values equal :func:`~repro.geo.quadkey.quadkey_to_center` and
+    :func:`~repro.geo.quadkey.quadkey_to_bounds` exactly: longitudes are
+    plain arithmetic, and each distinct pixel row's latitude comes from
+    the scalar :func:`~repro.geo.quadkey.pixel_to_latlng`.
     """
-    lat_s, lat_n, lng_w, lng_e = qk.quadkey_to_bounds(quadkey)
-    clat, clng = qk.quadkey_to_center(quadkey)
-    points = [
-        (clat, clng),
-        (lat_s, lng_w),
-        (lat_s, lng_e),
-        (lat_n, lng_w),
-        (lat_n, lng_e),
-    ]
-    cells = {hexgrid.latlng_to_cell(lat, lng, res) for lat, lng in points}
-    return sorted(cells)
+    tiles = np.array([qk.quadkey_to_tile(key) for key in quadkeys], dtype=np.int64)
+    tiles = tiles.reshape(-1, 3)
+    level = tiles[:, 2]
+    for lv in np.unique(level).tolist():
+        qk.map_size(lv)  # raises for a level outside [1, 23]
+    size = np.left_shift(256, level)
+    # Pixel offsets of the centre and the west/north (0) and east/south
+    # (256) edges, in sample-point order.
+    dx = np.array([128, 0, 256, 0, 256])
+    dy = np.array([128, 256, 256, 0, 0])
+    px = np.minimum(tiles[:, :1] * 256 + dx, size[:, None] - 1)
+    py = np.minimum(tiles[:, 1:2] * 256 + dy, size[:, None] - 1)
+    lngs = 360.0 * (px / size[:, None] - 0.5)
+    # One scalar latitude per distinct (level, pixel row); levels are < 32.
+    keys, inverse = np.unique((py << 5) | level[:, None], return_inverse=True)
+    row_lat = np.array(
+        [qk.pixel_to_latlng(0, key >> 5, key & 31)[0] for key in keys.tolist()],
+        dtype=np.float64,
+    )
+    return row_lat[inverse.ravel()].reshape(py.shape), lngs
+
+
+def quadkeys_to_cells(quadkeys: list[str], res: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hex cells every quadkey tile overlaps, for many tiles at once.
+
+    Returns ``(row, cell)``: int64 tile rows and uint64 cells, each tile's
+    distinct cells ascending and tiles in order.  All five sample points of
+    every tile go through one :func:`~repro.geo.hexgrid.latlng_to_cell_vec`
+    call.  Sampling the tile centre plus its four corners is exact whenever
+    the tile is smaller than the hex cell (the common case: a zoom-16 tile
+    is ~0.37 km^2, a res-8 hex ~0.55 km^2) and a close over-approximation
+    otherwise.
+    """
+    lats, lngs = _tile_sample_points(list(quadkeys))
+    cells = np.sort(hexgrid.latlng_to_cell_vec(lats, lngs, res), axis=1)
+    distinct = np.ones(cells.shape, dtype=bool)
+    distinct[:, 1:] = cells[:, 1:] != cells[:, :-1]
+    row = np.broadcast_to(np.arange(cells.shape[0], dtype=np.int64)[:, None], cells.shape)
+    return row[distinct], cells[distinct]
+
+
+def quadkey_to_cells(quadkey: str, res: int) -> list[int]:
+    """Hex cells a quadkey tile overlaps, ascending: the one-tile view of
+    :func:`quadkeys_to_cells`."""
+    return quadkeys_to_cells([quadkey], res)[1].tolist()
 
 
 def reproject_tiles(
@@ -82,12 +126,13 @@ def reproject_tiles(
     k cells contribute their full counts to each of the k cells, mirroring
     the paper's "we map it to each relevant H3 tile".
     """
+    tiles = list(tiles)
+    rows, cells = quadkeys_to_cells([tile.quadkey for tile in tiles], res)
     out: dict[int, HexAggregate] = {}
-    for tile in tiles:
-        for cell in quadkey_to_cells(tile.quadkey, res):
-            agg = out.get(cell)
-            if agg is None:
-                agg = HexAggregate(cell=cell)
-                out[cell] = agg
-            agg.absorb(tile)
+    for row, cell in zip(rows.tolist(), cells.tolist()):
+        agg = out.get(cell)
+        if agg is None:
+            agg = HexAggregate(cell=cell)
+            out[cell] = agg
+        agg.absorb(tiles[row])
     return out

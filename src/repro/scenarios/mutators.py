@@ -129,10 +129,9 @@ def _ring_candidates(
 ) -> set[int]:
     """Occupied in-state cells one hex ring beyond a claimed footprint."""
     occupied = _occupied_cells(fabric, abbr, occupied_cache)
-    ring: set[int] = set()
-    for cell in fp.claimed_cells:
-        ring.update(int(c) for c in hexgrid.grid_disk(cell, 1))
-    return (ring & occupied) - fp.claimed_cells
+    claimed = np.fromiter(fp.claimed_cells, dtype=np.uint64, count=len(fp.claimed_cells))
+    _, ring = hexgrid.grid_disk_vec(claimed, 1)
+    return occupied.intersection(ring.tolist()) - fp.claimed_cells
 
 
 def _claim_truth(table: AvailabilityTable) -> tuple[list[ClaimKey], np.ndarray, np.ndarray]:
@@ -348,11 +347,10 @@ def phantom_provider(config: ScenarioConfig, intensity: float = 1.0) -> Scenario
                 fabric.towns_in_state(abbr), key=lambda t: -t.weight
             )[:3]
             occupied = set(fabric.cells_in_state(abbr))
-            cells: set[int] = set()
-            for town in towns:
-                center = hexgrid.latlng_to_cell(town.lat, town.lng, res)
-                cells.update(int(c) for c in hexgrid.grid_disk(center, 5))
-            cells &= occupied
+            centers = hexgrid.latlng_to_cell_vec(
+                [t.lat for t in towns], [t.lng for t in towns], res
+            )
+            cells = occupied.intersection(hexgrid.grid_disk_vec(centers, 5)[1].tolist())
             cells = _sample_cells(rng, cells, _scale(intensity, len(cells)))
             footprints[(abbr, 50)] = FootprintPair(frozenset(), frozenset(cells))
             candidates.extend((PHANTOM_PROVIDER_PID, cell, 50) for cell in cells)

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.fcc.bdc import AvailabilityTable
 from repro.fcc.fabric import Fabric
-from repro.geo import latlng_to_quadkey
+from repro.geo.quadkey import latlng_to_quadkey_vec
 from repro.geo.reproject import OoklaTileAggregate
 from repro.utils.rng import stream_rng
 
@@ -55,15 +55,15 @@ class OoklaConfig:
         return self
 
 
-def _served_speed_by_bsl(table: AvailabilityTable) -> dict[int, float]:
-    """Max advertised download (Mbps) among truly-served claims per BSL."""
-    speeds: dict[int, float] = {}
+def _served_speed_by_bsl(table: AvailabilityTable, n_bsl: int) -> np.ndarray:
+    """Max advertised download (Mbps) among truly-served claims per BSL.
+
+    0 for a BSL with no truly-served claim above 0 Mbps; such a BSL does
+    not count as served.
+    """
+    speeds = np.zeros(n_bsl)
     served = table.truly_served
-    for row in np.where(served)[0]:
-        bsl = int(table.bsl_id[row])
-        speed = float(table.max_download_mbps[row])
-        if speed > speeds.get(bsl, 0.0):
-            speeds[bsl] = speed
+    np.fmax.at(speeds, table.bsl_id[served], table.max_download_mbps[served])
     return speeds
 
 
@@ -76,44 +76,38 @@ def generate_ookla_tiles(
     """Generate one reporting window of Ookla tile aggregates."""
     config = (config or OoklaConfig()).validate()
     rng = stream_rng(seed, "ookla")
-    served_speed = _served_speed_by_bsl(table)
-
-    n = len(fabric)
-    served_mask = np.zeros(n, dtype=bool)
-    speed = np.zeros(n)
-    for bsl, mbps in served_speed.items():
-        served_mask[bsl] = True
-        speed[bsl] = mbps
+    speed = _served_speed_by_bsl(table, len(fabric))
+    served_mask = speed > 0.0
 
     # Per-cell density boost.
-    cell_counts: dict[int, int] = {}
-    for cell in fabric.occupied_cells:
-        cell_counts[cell] = fabric.bsl_count_in_cell(cell)
-    dense = np.array(
-        [cell_counts[int(c)] >= config.density_threshold for c in fabric.cells]
-    )
+    dense = fabric.bsl_counts_in_cells(fabric.cells) >= config.density_threshold
 
     lam = np.where(served_mask, config.devices_per_served_bsl, config.background_devices_per_bsl)
     lam = lam * np.where(dense, config.density_boost, 1.0)
     devices = rng.poisson(lam)
     active = np.where(devices > 0)[0]
+    tiles = latlng_to_quadkey_vec(fabric.lats[active], fabric.lngs[active])
 
     # Aggregate per quadkey tile.
     by_tile: dict[str, dict[str, float]] = {}
-    for row in active:
-        tile = latlng_to_quadkey(float(fabric.lats[row]), float(fabric.lngs[row]))
-        tests = int(devices[row] + rng.poisson(config.tests_per_device * devices[row]))
-        base = speed[row] if served_mask[row] else float(rng.uniform(5, 60))
+    for tile, n_devices, served, mbps in zip(
+        tiles,
+        devices[active].tolist(),
+        served_mask[active].tolist(),
+        speed[active].tolist(),
+    ):
+        tests = int(n_devices + rng.poisson(config.tests_per_device * n_devices))
+        base = mbps if served else float(rng.uniform(5, 60))
         achieved_down = base * config.achieved_speed_fraction * float(rng.uniform(0.5, 1.2))
         achieved_up = achieved_down * float(rng.uniform(0.1, 0.8))
-        latency = float(rng.uniform(8, 45)) if served_mask[row] else float(rng.uniform(30, 120))
+        latency = float(rng.uniform(8, 45)) if served else float(rng.uniform(30, 120))
         agg = by_tile.setdefault(
             tile, {"tests": 0.0, "devices": 0.0, "down": 0.0, "up": 0.0, "lat": 0.0}
         )
         weight = tests
         prev = agg["tests"]
         agg["tests"] += tests
-        agg["devices"] += int(devices[row])
+        agg["devices"] += n_devices
         # Running weighted means for throughput/latency.
         total = prev + weight
         if total > 0:

@@ -33,7 +33,19 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ColumnIndex", "MultiColumnIndex"]
+__all__ = ["ColumnIndex", "MultiColumnIndex", "ragged_arange"]
+
+
+def ragged_arange(counts) -> np.ndarray:
+    """``arange(c)`` for every count ``c``, concatenated.
+
+    The within-group offset of ``np.repeat(x, counts)``: gathering
+    ``values[np.repeat(starts, counts) + ragged_arange(counts)]`` reads
+    ``counts[i]`` consecutive values from each ``starts[i]``.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - counts, counts)
 
 
 def _as_key_column(values) -> np.ndarray:

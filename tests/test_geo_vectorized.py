@@ -69,3 +69,32 @@ def test_grid_distance_vec_matches_scalar():
 def test_vectorized_handles_length_one_arrays():
     out = hg.latlng_to_cell_vec(np.array([40.0]), np.array([-100.0]), 8)
     assert int(out[0]) == hg.latlng_to_cell(40.0, -100.0, 8)
+
+
+@pytest.mark.parametrize(
+    "lat, lng",
+    [
+        (95.0, -100.0),
+        (-90.5, -100.0),
+        (float("nan"), -100.0),
+        (float("inf"), -100.0),
+        (40.0, 181.0),
+        (40.0, float("nan")),
+        (40.0, float("-inf")),
+    ],
+)
+def test_vectorized_rejects_what_the_scalar_rejects(lat, lng):
+    with pytest.raises(ValueError) as scalar:
+        hg.latlng_to_cell(lat, lng, 8)
+    lats = np.array([40.0, lat, 41.0])
+    lngs = np.array([-100.0, lng, -101.0])
+    with pytest.raises(ValueError) as vec:
+        hg.latlng_to_cell_vec(lats, lngs, 8)
+    assert str(vec.value) == str(scalar.value)
+
+
+def test_vectorized_accepts_the_closed_bounds():
+    lats = np.array([90.0, -90.0, 0.0, 0.0])
+    lngs = np.array([0.0, 0.0, 180.0, -180.0])
+    out = hg.latlng_to_cell_vec(lats, lngs, 8)
+    assert out.tolist() == [hg.latlng_to_cell(a, b, 8) for a, b in zip(lats, lngs)]
