@@ -34,7 +34,7 @@ def main(state: str = "GA") -> None:
     satellite = {p.provider_id for p in world.universe.providers if p.is_satellite}
     claims = [
         key
-        for key in world.table.unique_claims()
+        for key in world.table.columnar().keys()
         if key[0] not in satellite
         and world.fabric.state_of_cell(key[1]) == state
     ]

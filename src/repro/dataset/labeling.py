@@ -21,16 +21,13 @@ __all__ = ["LabelingInputs", "label_from_challenges", "label_from_changes", "bui
 
 
 def _claim_states(table: AvailabilityTable) -> dict[ClaimKey, str]:
-    """State of each hex-level claim (from its filing rows)."""
-    out: dict[ClaimKey, str] = {}
-    keys = table.claim_keys()
-    import numpy as np
-
-    uniq, first = np.unique(keys, return_index=True)
-    for k, row in zip(uniq, first):
-        key = (int(k["provider_id"]), int(k["cell"]), int(k["technology"]))
-        out[key] = STATES[int(table.state_idx[row])].abbr
-    return out
+    """State of each hex-level claim: a view of ``table.columnar()``."""
+    claims = table.columnar()
+    abbrs = [state.abbr for state in STATES]
+    return {
+        key: abbrs[state]
+        for key, state in zip(claims.keys(), claims.state_idx.tolist())
+    }
 
 
 def label_from_challenges(

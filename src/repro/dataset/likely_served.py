@@ -33,7 +33,7 @@ from repro.geo import cells_within_radius  # noqa: F401
 from repro.geo.hexgrid import iter_cells_within_radius
 from repro.geo.reproject import HexAggregate
 from repro.speedtests.mlab import MLabTest, mlab_columns
-from repro.utils.indexing import MultiColumnIndex, ragged_arange
+from repro.utils.indexing import ColumnIndex, MultiColumnIndex, ragged_arange
 
 __all__ = [
     "service_coverage_scores",
@@ -224,18 +224,25 @@ def likely_served_claims(
     """Candidate "known good" claims, sorted by descending coverage score.
 
     A claim qualifies when (a) its cell's Ookla coverage score is >= the
-    threshold, and (b) an MLab test attributed to the claim's provider was
-    localized to the cell.  Returns (claim, score) pairs.
+    threshold (a cell with no score scores 0), and (b) an MLab test
+    attributed to the claim's provider was localized to the cell.
+    Returns (claim, score) pairs; equal scores keep claim-key order.
+    Vectorized over the table's claim columns.
     """
-    out: list[tuple[ClaimKey, float]] = []
-    for key in table.unique_claims():
-        pid, cell, _tech = key
-        score = coverage_scores.get(cell, 0.0)
-        if score < threshold:
-            continue
-        provider_cells = localization.cells_by_provider.get(pid)
-        if not provider_cells or cell not in provider_cells:
-            continue
-        out.append((key, score))
-    out.sort(key=lambda pair: (-pair[1], pair[0]))
-    return out
+    claims = table.columnar()
+    cov_cells = np.fromiter(coverage_scores, dtype=np.uint64, count=len(coverage_scores))
+    cov_values = np.fromiter(
+        coverage_scores.values(), dtype=np.float64, count=len(coverage_scores)
+    )
+    pos = ColumnIndex(cov_cells).positions(claims.cell)
+    scored = pos >= 0
+    score = np.zeros(len(claims))
+    score[scored] = cov_values[pos[scored]]
+    rows = np.flatnonzero(score >= threshold)
+    localized = localization.provider_test_counts(claims.provider_id[rows], claims.cell[rows])
+    rows = rows[localized > 0]
+    pid, cell, tech = claims.provider_id[rows], claims.cell[rows], claims.technology[rows]
+    score = score[rows]
+    order = np.lexsort((tech, cell, pid, -score))
+    keys = zip(pid[order].tolist(), cell[order].tolist(), tech[order].tolist())
+    return list(zip(keys, score[order].tolist()))

@@ -83,8 +83,8 @@ class ClaimColumns:
     max_download_mbps: np.ndarray  # float64, published (post-floor) max
     max_upload_mbps: np.ndarray  # float64, published (post-floor) max
     low_latency: np.ndarray  # bool — any record low-latency
-    #: Filing state per claim (index into repro.fcc.states.STATES, from
-    #: the claim's first filing row — the labeling convention).
+    #: Filing state per claim (index into repro.fcc.states.STATES), from
+    #: the claim's first filing row (AvailabilityTable.claim_first_rows).
     state_idx: np.ndarray  # int16
     #: Composite-key index; ``None`` until first lookup (lazy).  Sharded
     #: stores hold many small per-shard tables, most of which are never
@@ -176,6 +176,12 @@ class ClaimColumns:
             np.asarray(technology, dtype=np.int64),
         )
 
+    def keys(self) -> list[ClaimKey]:
+        """Every claim's ``(provider, cell, technology)`` key, in row order."""
+        return list(
+            zip(self.provider_id.tolist(), self.cell.tolist(), self.technology.tolist())
+        )
+
     def key_at(self, row: int) -> ClaimKey:
         return (
             int(self.provider_id[row]),
@@ -203,6 +209,10 @@ class AvailabilityTable:
     truly_served: np.ndarray  # bool
     #: Cached hex-level columnar roll-up (built on first use).
     _columnar: "ClaimColumns | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: Each claim's first filing row, cached with ``_columnar``.
+    _first_rows: "np.ndarray | None" = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -239,34 +249,26 @@ class AvailabilityTable:
         keys["technology"] = self.technology
         return keys
 
-    def unique_claims(self) -> list[ClaimKey]:
-        """Distinct hex-level claims (provider, cell, technology)."""
-        keys = self.claim_keys()
-        uniq = np.unique(keys)
-        return [
-            (int(k["provider_id"]), int(k["cell"]), int(k["technology"]))
-            for k in uniq
-        ]
-
     def columnar(self) -> ClaimColumns:
         """The hex-level claims as frozen parallel arrays (cached).
 
-        Aggregation matches the scalar reference exactly: per claim, the
-        count of BSL filing rows, elementwise-max *published* speeds
-        (post NBM floors), and the OR of the low-latency flags.
+        The one claim reduction of a filing table: one stable
+        ``lexsort`` of the rows by (provider, cell, technology), then
+        per-claim segment reductions — the count of BSL filing rows,
+        the max *published* speeds (post NBM floors) and the OR of the
+        low-latency flags.  Each claim's first filing row is cached
+        alongside (:meth:`claim_first_rows`).
         """
         if self._columnar is not None:
             return self._columnar
+        # Sort in the claim-key dtypes (cells as uint64): the claim order.
         keys = self.claim_keys()
-        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        n = uniq.size
-        counts = np.bincount(inverse, minlength=n)
-        down = np.zeros(n)
-        up = np.zeros(n)
-        lowlat = np.zeros(n, dtype=bool)
-        np.maximum.at(down, inverse, self.published_download())
-        np.maximum.at(up, inverse, self.published_upload())
-        np.logical_or.at(lowlat, inverse, self.low_latency)
+        order = np.lexsort((keys["technology"], keys["cell"], keys["provider_id"]))
+        keys = keys[order]
+        change = keys[1:] != keys[:-1]
+        starts = np.flatnonzero(np.r_[order.size > 0, change])
+        first = order[starts]
+        uniq = keys[starts]
         provider_id = np.ascontiguousarray(uniq["provider_id"], dtype=np.int64)
         cell = np.ascontiguousarray(uniq["cell"], dtype=np.uint64)
         technology = np.ascontiguousarray(uniq["technology"], dtype=np.int16)
@@ -274,19 +276,30 @@ class AvailabilityTable:
             provider_id=provider_id,
             cell=cell,
             technology=technology,
-            claimed_count=counts.astype(np.int64),
-            max_download_mbps=down,
-            max_upload_mbps=up,
-            low_latency=lowlat,
-            # State of each claim's first filing row — identical to the
-            # labeling convention (dataset.labeling._claim_states).
+            claimed_count=np.diff(np.r_[starts, order.size]).astype(np.int64),
+            max_download_mbps=np.maximum.reduceat(self.published_download()[order], starts),
+            max_upload_mbps=np.maximum.reduceat(self.published_upload()[order], starts),
+            low_latency=np.logical_or.reduceat(self.low_latency[order], starts),
+            # Filing state of each claim's first filing row: the per-claim
+            # convention for row-level attributes (claim_first_rows).
             state_idx=self.state_idx[first].astype(np.int16),
             _index=MultiColumnIndex(
                 provider_id, cell, technology.astype(np.int64)
             ),
         )
         self._columnar = columns
+        self._first_rows = first
         return columns
+
+    def claim_first_rows(self) -> np.ndarray:
+        """Each claim's first filing row, aligned with :meth:`columnar`.
+
+        A claim's row-level attributes are those of its first filing row:
+        ``state_idx`` in the columns, and ground truth as
+        ``truly_served[claim_first_rows()]``.
+        """
+        self.columnar()
+        return self._first_rows
 
     def rows_for_claim(self, key: ClaimKey) -> np.ndarray:
         """Row indices matching a hex-level claim (linear scan, test-sized)."""

@@ -173,24 +173,9 @@ def _claim_truth_by_key(
     table: AvailabilityTable,
 ) -> tuple[list[ClaimKey], np.ndarray, np.ndarray, np.ndarray]:
     """Hex-level claims with truth flag, state index, and BSL count."""
-    keys = table.claim_keys()
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    boundaries = np.r_[
-        0, np.where(sorted_keys[1:] != sorted_keys[:-1])[0] + 1, keys.size
-    ]
-    claims: list[ClaimKey] = []
-    truth = np.empty(boundaries.size - 1, dtype=bool)
-    state_idx = np.empty(boundaries.size - 1, dtype=np.int16)
-    n_bsls = np.empty(boundaries.size - 1, dtype=np.int64)
-    for i in range(boundaries.size - 1):
-        row = order[boundaries[i]]
-        k = keys[row]
-        claims.append((int(k["provider_id"]), int(k["cell"]), int(k["technology"])))
-        truth[i] = table.truly_served[row]
-        state_idx[i] = table.state_idx[row]
-        n_bsls[i] = boundaries[i + 1] - boundaries[i]
-    return claims, truth, state_idx, n_bsls
+    claims = table.columnar()
+    truth = table.truly_served[table.claim_first_rows()]
+    return claims.keys(), truth, claims.state_idx, claims.claimed_count
 
 
 def _stratified_targets(

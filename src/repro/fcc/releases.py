@@ -106,7 +106,8 @@ def build_release_timeline(
     (rate = the provider's ``self_correction_rate``), spread over the
     year of minor releases — the paper's non-archived changes.
     """
-    initial = frozenset(table.unique_claims())
+    keys = table.columnar().keys()
+    initial = frozenset(keys)
     removals: list[RemovalEvent] = []
     challenged_removed: set[ClaimKey] = set()
 
@@ -121,12 +122,9 @@ def build_release_timeline(
             )
 
     # Quiet removals: overclaimed, unchallenged claims withdrawn off-ledger.
-    keys = table.claim_keys()
-    uniq, first_rows = np.unique(keys, return_index=True)
-    for k, row in zip(uniq, first_rows):
-        if table.truly_served[row]:
-            continue
-        key = (int(k["provider_id"]), int(k["cell"]), int(k["technology"]))
+    overclaimed = ~table.truly_served[table.claim_first_rows()]
+    for row in np.flatnonzero(overclaimed).tolist():
+        key = keys[row]
         if key in challenged_removed:
             continue
         provider = universe.provider(key[0])

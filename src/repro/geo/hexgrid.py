@@ -53,7 +53,6 @@ __all__ = [
     "grid_disk_vec",
     "grid_ring",
     "grid_distance",
-    "grid_distance_vec",
     "cells_to_axial_vec",
     "grid_neighbors",
     "cells_within_radius",
@@ -271,14 +270,6 @@ def cells_to_axial_vec(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     q = ((cells >> np.uint64(_COORD_BITS)) & np.uint64(_COORD_MASK)).astype(np.int64) - _COORD_OFFSET
     r = (cells & np.uint64(_COORD_MASK)).astype(np.int64) - _COORD_OFFSET
     return res, q, r
-
-
-def grid_distance_vec(cells: np.ndarray, other: int) -> np.ndarray:
-    """Hex distance from each cell in an array to one reference cell."""
-    _, q, r = cells_to_axial_vec(cells)
-    res_o, qo, ro = unpack_cell(int(other))
-    dq, dr = q - qo, r - ro
-    return (np.abs(dq) + np.abs(dr) + np.abs(dq + dr)) // 2
 
 
 def cell_to_latlng_vec(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

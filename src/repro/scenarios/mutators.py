@@ -136,12 +136,8 @@ def _ring_candidates(
 
 def _claim_truth(table: AvailabilityTable) -> tuple[list[ClaimKey], np.ndarray, np.ndarray]:
     """Distinct claims with overclaim truth and state index."""
-    keys = table.claim_keys()
-    uniq, first = np.unique(keys, return_index=True)
-    claims = [
-        (int(k["provider_id"]), int(k["cell"]), int(k["technology"])) for k in uniq
-    ]
-    return claims, ~table.truly_served[first], table.state_idx[first]
+    claims = table.columnar()
+    return claims.keys(), ~table.truly_served[table.claim_first_rows()], claims.state_idx
 
 
 def _materialized(world: SimulationWorld, keys) -> frozenset[ClaimKey]:

@@ -41,13 +41,13 @@ def test_claims_unique_per_bsl_provider_tech(small_filings):
 
 
 def test_unique_claims_hex_level(small_filings):
-    claims = small_filings.unique_claims()
+    claims = small_filings.columnar().keys()
     assert len(claims) < len(small_filings)
     assert all(len(k) == 3 for k in claims)
 
 
 def test_rows_for_claim_roundtrip(small_filings):
-    claims = small_filings.unique_claims()
+    claims = small_filings.columnar().keys()
     key = claims[len(claims) // 2]
     rows = small_filings.rows_for_claim(key)
     assert rows.size >= 1

@@ -10,6 +10,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labels_oracle import unique_claims
+
 from repro.fcc.bdc import AvailabilityTable
 from repro.features.vectorize import FeatureBuilder
 
@@ -83,6 +85,7 @@ def test_columnar_is_cached(small_filings):
 
 def test_columnar_matches_unique_claims_order(small_filings):
     columns = small_filings.columnar()
-    claims = small_filings.unique_claims()
+    claims = unique_claims(small_filings)
     assert len(columns) == len(claims)
     assert [columns.key_at(i) for i in range(len(columns))] == claims
+    assert columns.keys() == claims

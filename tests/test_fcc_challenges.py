@@ -91,7 +91,7 @@ def test_fcc_adjudication_takes_longer(small_challenges):
 
 
 def test_challenges_reference_real_claims(small_challenges, small_filings):
-    claim_set = set(small_filings.unique_claims())
+    claim_set = set(small_filings.columnar().keys())
     for record in small_challenges[:200]:
         assert record.claim_key in claim_set
 

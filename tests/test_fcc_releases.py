@@ -2,6 +2,7 @@
 
 import pytest
 
+from labels_oracle import unique_claims
 from repro.fcc import (
     RemovalCause,
     build_release_timeline,
@@ -11,7 +12,7 @@ from repro.fcc import (
 
 
 def test_initial_release_has_all_claims(small_timeline, small_filings):
-    assert small_timeline.claims_at(0) == frozenset(small_filings.unique_claims())
+    assert small_timeline.claims_at(0) == frozenset(unique_claims(small_filings))
 
 
 def test_claims_monotonically_shrink(small_timeline):

@@ -57,15 +57,6 @@ def test_cells_to_axial_vec_matches_unpack():
         assert (int(res[i]), int(q[i]), int(r[i])) == hg.unpack_cell(int(cells[i]))
 
 
-def test_grid_distance_vec_matches_scalar():
-    lats, lngs = _random_points(60, seed=6)
-    cells = hg.latlng_to_cell_vec(lats, lngs, 8)
-    ref = hg.latlng_to_cell(40.0, -100.0, 8)
-    dists = hg.grid_distance_vec(cells, ref)
-    for i in range(0, 60, 6):
-        assert int(dists[i]) == hg.grid_distance(int(cells[i]), ref)
-
-
 def test_vectorized_handles_length_one_arrays():
     out = hg.latlng_to_cell_vec(np.array([40.0]), np.array([-100.0]), 8)
     assert int(out[0]) == hg.latlng_to_cell(40.0, -100.0, 8)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dataset.labeling import _claim_states
+from labels_oracle import claim_states
 from repro.dataset.observations import Observation, LabelSource
 from repro.fcc.bdc import ClaimColumns
 from repro.fcc.states import STATES
@@ -12,7 +12,7 @@ from repro.serve.store import ClaimScoreStore
 
 def test_claim_columns_state_matches_labeling(tiny_world):
     claims = tiny_world.table.columnar()
-    states = _claim_states(tiny_world.table)
+    states = claim_states(tiny_world.table)
     for row in range(0, len(claims), max(1, len(claims) // 500)):
         key = claims.key_at(row)
         assert STATES[int(claims.state_idx[row])].abbr == states[key]
