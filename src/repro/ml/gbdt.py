@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ml.tree import (
+    MISSING_BIN,
     FlatEnsemble,
     HistogramBinner,
     RegressionTree,
@@ -68,6 +69,27 @@ def _logloss(y: np.ndarray, p: np.ndarray) -> float:
     eps = 1e-12
     p = np.clip(p, eps, 1.0 - eps)
     return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean())
+
+
+def _check_codes(binner: HistogramBinner, codes: np.ndarray, what: str) -> None:
+    """Refuse pre-binned codes that ``binner.transform`` cannot produce.
+
+    A code at or above its feature's bin count (other than
+    :data:`MISSING_BIN`) would silently shift split thresholds, and in the
+    compact histogram layout it would land in the next feature's bins.
+    """
+    nbins = np.array(
+        [binner.n_bins(f) for f in range(codes.shape[1])], dtype=np.uint8
+    )
+    bad = (codes >= nbins) & (codes != MISSING_BIN)
+    if bad.any():
+        row, col = (int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(
+            f"{what} has bin code {int(codes[row, col])} at row {row}, "
+            f"column {col}, but the binner has {int(nbins[col])} bin(s) "
+            f"there; codes must be below the bin count or {MISSING_BIN} "
+            "(missing)"
+        )
 
 
 @dataclass(frozen=True)
@@ -193,6 +215,7 @@ class GradientBoostedClassifier:
                     f"pre-binned X has {d} columns, binner expects "
                     f"{len(binner.split_values_)}"
                 )
+            _check_codes(binner, X, "pre-binned X")
             Xb = X
         else:
             Xb = binner.transform(X)
@@ -212,6 +235,7 @@ class GradientBoostedClassifier:
                         f"pre-binned eval X has shape {X_eval.shape}, binner "
                         f"expects (n, {len(binner.split_values_)})"
                     )
+                _check_codes(binner, X_eval, "pre-binned eval X")
                 eval_binned = X_eval
             else:
                 eval_binned = binner.transform(
@@ -232,7 +256,7 @@ class GradientBoostedClassifier:
         )
         best_eval = np.inf
         rounds_since_best = 0
-        codes_cache: dict = {}
+        fit_cache: dict = {}
 
         for _ in range(p.n_estimators):
             prob = _sigmoid(margin)
@@ -262,7 +286,7 @@ class GradientBoostedClassifier:
                 cols,
                 growth,
                 train_pred_out=pred,
-                codes_cache=codes_cache,
+                fit_cache=fit_cache,
             )
             tree.values *= p.learning_rate
             state.trees.append(tree)

@@ -31,15 +31,21 @@ Kernel design (the NumPy hot path)
 The training and inference hot paths are fully vectorized:
 
 **Fused multi-feature histograms.**  Split finding bins every active
-feature of a node in *one* ``np.bincount`` call: bin codes are flattened
-to ``feature_slot * 256 + bin_code`` (``MISSING_BIN`` = 255 keeps the
-stride a constant 256) and the gradient/hessian/count histograms of all
-features come back as ``(n_features, 256)`` matrices from a single pass
-over the node's rows.  The per-feature-offset code matrix is flattened
-row-major (a free view of the C-contiguous gather); for any fixed
-feature the codes still appear in ascending row order, so each
-per-feature histogram accumulates identically to — and is bitwise
-identical with — the seed's per-feature ``bincount`` loop.
+feature of a node in *one* ``np.bincount`` call over a *compact* layout
+(:class:`_HistLayout`): feature slot ``s`` owns ``n_bins(s) + 1``
+consecutive positions from ``offset[s]`` — its value bins, then its
+missing bin — so a one-hot column costs 3 positions, not a fixed 256.
+Codes are moved to their positions up front (the offset-code matrix:
+once per fit, per tree under row/column subsampling, per node above
+``_OFFSET_CODES_MAX_ELEMENTS``; :data:`MISSING_BIN` is clamped onto the
+slot's missing position), and
+the gradient/hessian/count histograms of all features come back as flat
+``Σ(n_bins + 1)`` vectors from a single pass over the node's rows.  The
+offset-code matrix is flattened row-major (a free view of the
+C-contiguous gather); for any fixed feature the codes still appear in
+ascending row order, so each per-feature histogram accumulates
+identically to — and is bitwise identical with — the seed's per-feature
+``bincount`` loop.
 
 **Sibling subtraction.**  A node's histogram is the elementwise sum of
 its children's histograms, so after a split only the *smaller* child's
@@ -53,12 +59,17 @@ equally-optimal split.  Disable with ``sibling_subtraction=False`` for
 full bitwise parity with the seed kernels (see
 :mod:`repro.ml._reference`).
 
-**Vectorized split selection.**  Candidate gains for *all* (feature,
-missing-direction, bin) triples are evaluated as one ``(F, 2, B-1)``
-tensor and selected with a single flat ``argmax``.  C-order flattening
-makes first-maximum tie-breaking identical to the seed's sequential scan
-(feature order, then missing-goes-right before missing-goes-left, then
-lowest bin).
+**Vectorized split selection.**  Active slots are partitioned once per
+fit into *width groups* (:func:`_width_runs`: binary columns apart from
+the few wide continuous ones, by a padding-vs-call-overhead cost model).
+Each group gathers its bins into a padded ``(F_g, W)`` block — padding
+reads an always-empty position, exactly like the empty tail bins of a
+fixed-width layout — and evaluates every (feature, missing-direction,
+bin) candidate as one ``(F_g, 2, W-1)`` tensor with a flat ``argmax``.
+C-order flattening gives each group the seed's first-maximum order
+(feature, then missing-goes-right before missing-goes-left, then lowest
+bin), and across groups an exact gain tie goes to the lower feature
+slot, so the chosen split is the seed's sequential scan's.
 
 **Flat ensemble inference.**  :class:`FlatEnsemble` concatenates every
 tree's node arrays into one set of parallel arrays (children re-indexed
@@ -108,15 +119,12 @@ __all__ = [
 #: Bin code reserved for missing values.
 MISSING_BIN = 255
 
-#: Per-feature stride of the fused histogram layout (bin codes are uint8).
-_CODE_STRIDE = 256
-
 #: Soft cap on elements materialized per fused-histogram / binning block.
 _BLOCK_ELEMENTS = 1 << 22
 
 #: Ceiling on (rows x active features) for precomputing the per-tree
-#: offset-code matrix (int64 codes with the feature-slot offset already
-#: added): 2^24 elements = 128 MB.  Above it, nodes fall back to the
+#: offset-code matrix (int64 codes already at their compact histogram
+#: positions): 2^24 elements = 128 MB.  Above it, nodes fall back to the
 #: gather-then-offset path so training memory stays bounded at NBM scale.
 _OFFSET_CODES_MAX_ELEMENTS = 1 << 24
 
@@ -871,11 +879,114 @@ def _subtract_hists(
     return g, h, n
 
 
+class _WidthGroup:
+    """Active feature slots whose split candidates share one padded block.
+
+    ``bins[i, b]`` is the position of value bin ``b`` of slot
+    ``slots[i]`` in the compact histogram, or the layout's always-empty
+    pad position for ``b >= n_bins``; ``missing[i]`` is the slot's
+    missing bin.  ``split_valid[i, b]`` marks real candidates
+    (``b <= n_bins - 2``).
+    """
+
+    __slots__ = ("slots", "bins", "missing", "split_valid")
+
+    def __init__(self, slots, nbins, offset, pad):
+        width = int(nbins[slots].max())
+        b = np.arange(width)
+        real = b[None, :] < nbins[slots][:, None]
+        self.slots = slots
+        self.bins = np.where(real, offset[slots][:, None] + b[None, :], pad)
+        self.missing = offset[slots] + nbins[slots]
+        self.split_valid = real[:, 1:]
+
+
+class _HistLayout:
+    """Compact fused-histogram layout of one active feature set.
+
+    Slot ``s`` owns ``nbins[s] + 1`` consecutive positions from
+    ``offset[s]``: its value bins, then its missing bin.  One trailing
+    position (``size - 1``) never receives a row; width groups pad with
+    it, so padded bins read exact zeros as the empty bins of a fixed
+    256-wide layout would.  Splittable slots (two or more bins) are
+    partitioned into width groups by :func:`_width_runs`.
+    """
+
+    __slots__ = ("nbins", "offset", "size", "groups")
+
+    def __init__(self, nbins: np.ndarray):
+        nbins = np.asarray(nbins, dtype=np.int64)
+        self.nbins = nbins
+        ends = np.cumsum(nbins + 1)
+        self.offset = ends - (nbins + 1)
+        pad = int(ends[-1]) if ends.size else 0
+        self.size = pad + 1
+        splittable = np.flatnonzero(nbins >= 2)
+        self.groups = [
+            _WidthGroup(
+                splittable[(nbins[splittable] >= lo) & (nbins[splittable] <= hi)],
+                nbins,
+                self.offset,
+                pad,
+            )
+            for lo, hi in _width_runs(nbins[splittable])
+        ]
+
+    def offset_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Histogram positions of a ``(rows, F)`` uint8 code block.
+
+        Value codes are below ``nbins`` (``HistogramBinner`` guarantees
+        it; pre-binned input is checked at fit time), so clamping at
+        ``nbins`` moves exactly :data:`MISSING_BIN` onto each slot's
+        missing position.
+        """
+        out = codes.astype(np.int64)
+        np.minimum(out, self.nbins, out=out)
+        out += self.offset
+        return out
+
+
+#: Split-search cost of one extra width group, in (slot, candidate bin)
+#: cells: a group's fixed NumPy call overhead costs about as much as
+#: evaluating this many padded cells.  Only speed depends on it.
+_GROUP_OVERHEAD_CELLS = 1024
+
+
+def _width_runs(widths: np.ndarray) -> list[tuple[int, int]]:
+    """Partition bin widths into ``(lo, hi)`` runs that pad cheaply.
+
+    Every slot of a run is padded to the run's widest ``hi``, so a run
+    costs ``_GROUP_OVERHEAD_CELLS + n_slots * (hi - 1)``; a dynamic
+    program over the sorted distinct widths picks the cheapest cover.
+    On the Table-4 matrix that separates the one-hot/binary columns
+    from the few wide continuous ones.
+    """
+    distinct, counts = np.unique(widths, return_counts=True)
+    k = distinct.size
+    below = np.concatenate([[0], np.cumsum(counts)])  # slots narrower than distinct[i]
+    cost = np.zeros(k + 1)
+    start = np.zeros(k + 1, dtype=np.int64)
+    for j in range(1, k + 1):
+        # cost[j]: cheapest cover of distinct[:j], whose last run is
+        # distinct[i:j] for the best start i.
+        cells = (below[j] - below[:j]) * (distinct[j - 1] - 1)
+        c = cost[:j] + _GROUP_OVERHEAD_CELLS + cells
+        start[j] = int(np.argmin(c))
+        cost[j] = c[start[j]]
+    runs = []
+    j = k
+    while j > 0:
+        i = int(start[j])
+        runs.append((int(distinct[i]), int(distinct[j - 1])))
+        j = i
+    return runs[::-1]
+
+
 class _TreeBuilder:
     """Grows one tree depth-first on binned data with g/h targets.
 
-    Each node's split search uses the fused multi-feature histogram and
-    flat-argmax selection described in the module docstring; child
+    Each node's split search uses the compact fused histogram and
+    per-width-group selection described in the module docstring; child
     histograms reuse the parent's via sibling subtraction unless
     ``sibling_subtraction=False`` (the bitwise-exact mode the equivalence
     tests exercise).
@@ -891,7 +1002,7 @@ class _TreeBuilder:
         feature_indices: np.ndarray,
         sibling_subtraction: bool = True,
         train_pred_out: np.ndarray | None = None,
-        codes_cache: dict | None = None,
+        fit_cache: dict | None = None,
     ):
         self.Xb = Xb
         self.binner = binner
@@ -900,25 +1011,26 @@ class _TreeBuilder:
         self.params = params
         self.sibling_subtraction = sibling_subtraction
         self.train_pred = train_pred_out
-        self.codes_cache = codes_cache
+        self.fit_cache = fit_cache
         self.nodes: list[dict] = []
 
         active = np.asarray(feature_indices, dtype=np.int64)
         self.active = active
         self.n_active = int(active.size)
-        nbins = np.array(
-            [binner.n_bins(int(f)) for f in active], dtype=np.int64
+        self.full_cols = self.n_active == Xb.shape[1] and np.array_equal(
+            active, np.arange(Xb.shape[1])
         )
-        self.nbins = nbins
-        self.max_nbins = int(nbins.max()) if nbins.size else 0
-        self._code_offset = np.arange(self.n_active, dtype=np.int64) * _CODE_STRIDE
-        if self.max_nbins >= 2:
-            # Candidate bins per feature: b in [0, n_bins(f) - 2].
-            self._split_valid = (
-                np.arange(self.max_nbins - 1)[None, :] < (nbins - 1)[:, None]
+        cache = {} if fit_cache is None else fit_cache
+        if "nbins" not in cache:
+            cache["nbins"] = np.array(
+                [binner.n_bins(f) for f in range(Xb.shape[1])], dtype=np.int64
             )
+        if self.full_cols:
+            if "layout" not in cache:
+                cache["layout"] = _HistLayout(cache["nbins"])
+            self.layout = cache["layout"]
         else:
-            self._split_valid = np.zeros((self.n_active, 0), dtype=bool)
+            self.layout = _HistLayout(cache["nbins"][active])
 
     def build(self, row_indices: np.ndarray) -> RegressionTree:
         # Work in positional row space over a compact (rows, active-cols)
@@ -930,10 +1042,7 @@ class _TreeBuilder:
         full_rows = rows.size == Xb.shape[0] and np.array_equal(
             rows, np.arange(Xb.shape[0])
         )
-        full_cols = self.n_active == Xb.shape[1] and np.array_equal(
-            self.active, np.arange(Xb.shape[1])
-        )
-        if full_rows and full_cols:
+        if full_rows and self.full_cols:
             self.rows = None
             self.Xs = Xb
             self.g = self.grad
@@ -948,19 +1057,19 @@ class _TreeBuilder:
             self.Xs = Xb[np.ix_(rows, self.active)]
             self.g = self.grad[rows]
             self.h = self.hess[rows]
-        # Offset-code matrix: int64 codes with the per-feature-slot offset
-        # pre-added, so node histograms skip the per-node astype + add.
-        # Bounded by _OFFSET_CODES_MAX_ELEMENTS; reused across trees (via
-        # codes_cache) when every tree sees the full matrix.
+        # Offset-code matrix: every code already at its histogram
+        # position, so node histograms skip the per-node remap.  Bounded
+        # by _OFFSET_CODES_MAX_ELEMENTS; reused across trees (via
+        # fit_cache) when every tree sees the full matrix.
         self.Xcodes: np.ndarray | None = None
         if self.Xs.size <= _OFFSET_CODES_MAX_ELEMENTS and self.n_active:
-            cacheable = full_rows and full_cols and self.codes_cache is not None
-            if cacheable and "full" in self.codes_cache:
-                self.Xcodes = self.codes_cache["full"]
+            cacheable = full_rows and self.full_cols and self.fit_cache is not None
+            if cacheable and "codes" in self.fit_cache:
+                self.Xcodes = self.fit_cache["codes"]
             else:
-                self.Xcodes = self.Xs.astype(np.int64) + self._code_offset[None, :]
+                self.Xcodes = self.layout.offset_codes(self.Xs)
                 if cacheable:
-                    self.codes_cache["full"] = self.Xcodes
+                    self.fit_cache["codes"] = self.Xcodes
         self._grow(np.arange(rows.size), depth=0, hists=None)
         return self._to_arrays()
 
@@ -987,22 +1096,23 @@ class _TreeBuilder:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fused (g, h, count) histograms for all active features at once.
 
-        Bin codes are offset per feature slot; the ``(rows, F)`` code
-        matrix is C-contiguous so its row-major ravel is a free view, and
-        per-row weights are repeated across the feature axis.  For any
-        (feature, bin) pair the weights still accumulate in ascending row
-        order, so each per-feature histogram is bitwise identical to a
-        per-feature ``bincount`` loop.
+        Codes sit at their compact-layout positions; the ``(rows, F)``
+        code matrix is C-contiguous so its row-major ravel is a free
+        view, and per-row weights are repeated across the feature axis.
+        For any (feature, bin) pair the weights still accumulate in
+        ascending row order, so each per-feature histogram is bitwise
+        identical to a per-feature ``bincount`` loop.
 
-        In production mode, nodes above ~4M (row, feature) pairs are
-        processed in row blocks to bound the materialized code/weight
-        arrays; block accumulation can regroup float additions by ulps.
-        Exact mode (``sibling_subtraction=False``) never blocks — its
-        unconditional bitwise contract with the seed kernels outranks the
-        memory cap — so it materializes the full node at any size.
+        In production mode, nodes above ``_BLOCK_ELEMENTS`` (row, feature)
+        pairs are processed in row blocks to bound the materialized
+        code/weight arrays; block accumulation can regroup float
+        additions by ulps.  Exact mode (``sibling_subtraction=False``)
+        never blocks — its unconditional bitwise contract with the seed
+        kernels outranks the memory cap — so it materializes the full
+        node at any size.
         """
         F = self.n_active
-        size = F * _CODE_STRIDE
+        size = self.layout.size
         m = idx.size
 
         def _flat_codes(part: np.ndarray) -> np.ndarray:
@@ -1010,9 +1120,7 @@ class _TreeBuilder:
                 if part.size == self.Xcodes.shape[0]:
                     return self.Xcodes.reshape(-1)  # root: free view, no gather
                 return self.Xcodes[part].reshape(-1)
-            codes = self.Xs[part].astype(np.int64)
-            codes += self._code_offset[None, :]
-            return codes.ravel()
+            return self.layout.offset_codes(self.Xs[part]).ravel()
 
         step = max(1, _BLOCK_ELEMENTS // max(F, 1))
         if m <= step or not self.sibling_subtraction:
@@ -1020,25 +1128,21 @@ class _TreeBuilder:
             g_hist = np.bincount(flat, weights=np.repeat(self.g[idx], F), minlength=size)
             h_hist = np.bincount(flat, weights=np.repeat(self.h[idx], F), minlength=size)
             n_hist = np.bincount(flat, minlength=size)
-        else:
-            g_hist = np.zeros(size)
-            h_hist = np.zeros(size)
-            n_hist = np.zeros(size, dtype=np.int64)
-            for start in range(0, m, step):
-                part = idx[start : start + step]
-                flat = _flat_codes(part)
-                g_hist += np.bincount(
-                    flat, weights=np.repeat(self.g[part], F), minlength=size
-                )
-                h_hist += np.bincount(
-                    flat, weights=np.repeat(self.h[part], F), minlength=size
-                )
-                n_hist += np.bincount(flat, minlength=size)
-        return (
-            g_hist.reshape(F, _CODE_STRIDE),
-            h_hist.reshape(F, _CODE_STRIDE),
-            n_hist.reshape(F, _CODE_STRIDE),
-        )
+            return g_hist, h_hist, n_hist
+        g_hist = np.zeros(size)
+        h_hist = np.zeros(size)
+        n_hist = np.zeros(size, dtype=np.int64)
+        for start in range(0, m, step):
+            part = idx[start : start + step]
+            flat = _flat_codes(part)
+            g_hist += np.bincount(
+                flat, weights=np.repeat(self.g[part], F), minlength=size
+            )
+            h_hist += np.bincount(
+                flat, weights=np.repeat(self.h[part], F), minlength=size
+            )
+            n_hist += np.bincount(flat, minlength=size)
+        return g_hist, h_hist, n_hist
 
     # -- growth ------------------------------------------------------------
 
@@ -1119,61 +1223,66 @@ class _TreeBuilder:
         hists: tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> tuple[int, int, bool, float] | None:
         params = self.params
-        B = self.max_nbins
-        if B < 2:
-            return None
         g_hist, h_hist, n_hist = hists
         parent_score = float(_score(np.array([g_sum]), np.array([h_sum]), params)[0])
-        # Left-accumulated stats for every candidate bin of every feature.
-        cg = np.cumsum(g_hist[:, :B], axis=1)[:, :-1]
-        ch = np.cumsum(h_hist[:, :B], axis=1)[:, :-1]
-        cn = np.cumsum(n_hist[:, :B], axis=1)[:, :-1]
-        g_miss = g_hist[:, MISSING_BIN]
-        h_miss = h_hist[:, MISSING_BIN]
-        n_miss = n_hist[:, MISSING_BIN]
-        F = self.n_active
-        # Axis 1 is the missing-value direction: 0 = missing right (the
-        # seed's first pass), 1 = missing left.
-        gl = np.empty((F, 2, B - 1))
-        hl = np.empty((F, 2, B - 1))
-        nl = np.empty((F, 2, B - 1), dtype=np.int64)
-        gl[:, 0, :] = cg + 0.0
-        gl[:, 1, :] = cg + g_miss[:, None]
-        hl[:, 0, :] = ch + 0.0
-        hl[:, 1, :] = ch + h_miss[:, None]
-        nl[:, 0, :] = cn
-        nl[:, 1, :] = cn + n_miss[:, None]
-        gr = g_sum - gl
-        hr = h_sum - hl
-        nr = idx.size - nl
-        valid = (
-            (hl >= params.min_child_weight)
-            & (hr >= params.min_child_weight)
-            & (nl >= params.min_samples_leaf)
-            & (nr >= params.min_samples_leaf)
-            & self._split_valid[:, None, :]
-        )
-        gains = (
-            0.5 * (_score(gl, hl, params) + _score(gr, hr, params) - parent_score)
-            - params.gamma
-        )
-        gains = np.where(valid, gains, -np.inf)
-        # A NaN gain (possible only with reg_lambda == 0 and zero hessian
-        # mass) poisons its whole (feature, direction) pass in the seed's
-        # sequential argmax; replicate by invalidating those passes.
-        nan_pass = np.isnan(gains).any(axis=2)
-        if nan_pass.any():
-            gains[nan_pass] = -np.inf
-        flat = gains.reshape(-1)
-        if flat.size == 0:
+        best = None
+        for grp in self.layout.groups:
+            # Left-accumulated stats for every candidate bin of the group.
+            cg = np.cumsum(g_hist[grp.bins], axis=1)[:, :-1]
+            ch = np.cumsum(h_hist[grp.bins], axis=1)[:, :-1]
+            cn = np.cumsum(n_hist[grp.bins], axis=1)[:, :-1]
+            g_miss = g_hist[grp.missing]
+            h_miss = h_hist[grp.missing]
+            n_miss = n_hist[grp.missing]
+            # Axis 1 is the missing-value direction: 0 = missing right
+            # (the seed's first pass), 1 = missing left.
+            shape = (cg.shape[0], 2, cg.shape[1])
+            gl = np.empty(shape)
+            hl = np.empty(shape)
+            nl = np.empty(shape, dtype=np.int64)
+            gl[:, 0, :] = cg + 0.0
+            gl[:, 1, :] = cg + g_miss[:, None]
+            hl[:, 0, :] = ch + 0.0
+            hl[:, 1, :] = ch + h_miss[:, None]
+            nl[:, 0, :] = cn
+            nl[:, 1, :] = cn + n_miss[:, None]
+            gr = g_sum - gl
+            hr = h_sum - hl
+            nr = idx.size - nl
+            valid = (
+                (hl >= params.min_child_weight)
+                & (hr >= params.min_child_weight)
+                & (nl >= params.min_samples_leaf)
+                & (nr >= params.min_samples_leaf)
+                & grp.split_valid[:, None, :]
+            )
+            gains = (
+                0.5 * (_score(gl, hl, params) + _score(gr, hr, params) - parent_score)
+                - params.gamma
+            )
+            gains = np.where(valid, gains, -np.inf)
+            flat = gains.reshape(-1)
+            b = int(np.argmax(flat))
+            gain = float(flat[b])
+            if gain != gain:
+                # argmax lands on a NaN gain (possible only with
+                # reg_lambda == 0 and zero hessian mass) whenever there is
+                # one.  A NaN poisons its whole (feature, direction) pass
+                # in the seed's sequential argmax; replicate by
+                # invalidating those passes.
+                gains[np.isnan(gains).any(axis=2)] = -np.inf
+                b = int(np.argmax(flat))
+                gain = float(flat[b])
+            f_local, rem = divmod(b, shape[1] * shape[2])
+            slot = int(grp.slots[f_local])
+            # The seed scans slots in order and keeps the first maximum:
+            # across groups, a tie goes to the lower slot.
+            if best is None or gain > best[3] or (gain == best[3] and slot < best[0]):
+                direction, bin_idx = divmod(rem, shape[2])
+                best = (slot, int(bin_idx), bool(direction), gain)
+        if best is None or not best[3] > 0.0:
             return None
-        b = int(np.argmax(flat))
-        best_gain = float(flat[b])
-        if not best_gain > 0.0:
-            return None
-        f_slot, rem = divmod(b, 2 * (B - 1))
-        direction, bin_idx = divmod(rem, B - 1)
-        return int(f_slot), int(bin_idx), bool(direction), best_gain
+        return best
 
     def _to_arrays(self) -> RegressionTree:
         n = len(self.nodes)
@@ -1204,17 +1313,19 @@ def grow_tree(
     params: TreeGrowthParams,
     sibling_subtraction: bool = True,
     train_pred_out: np.ndarray | None = None,
-    codes_cache: dict | None = None,
+    fit_cache: dict | None = None,
 ) -> RegressionTree:
     """Grow a single regression tree on binned data (see module docstring).
 
     ``train_pred_out``, when given an ``(n,)`` float array, is filled with
     the (unshrunk) leaf value reached by every row of ``row_indices`` —
     the boosting loop reuses it to update training margins without a
-    second traversal.  ``codes_cache``, when given a dict, lets repeated
-    calls over the same full matrix share the precomputed offset-code
-    matrix (the boosting loop passes one dict for the whole fit).  ``sibling_subtraction=False`` forces every node
-    histogram to be computed directly from rows in a single unblocked
+    second traversal.  ``fit_cache``, when given a dict, lets repeated
+    calls with the same ``Xb`` and ``binner`` share the per-feature bin
+    counts, the full-column histogram layout and, over the full matrix,
+    the precomputed offset-code matrix (the boosting loop passes one
+    dict for the whole fit).  ``sibling_subtraction=False`` forces every
+    node histogram to be computed directly from rows in a single unblocked
     pass, making the grown tree bitwise identical to the seed kernel in
     :mod:`repro.ml._reference` at any input size (at the cost of
     materializing the full node's code matrix; the default production
@@ -1230,6 +1341,6 @@ def grow_tree(
         feature_indices,
         sibling_subtraction=sibling_subtraction,
         train_pred_out=train_pred_out,
-        codes_cache=codes_cache,
+        fit_cache=fit_cache,
     )
     return builder.build(row_indices)

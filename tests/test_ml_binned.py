@@ -193,3 +193,24 @@ def test_fit_rejects_unfitted_or_mismatched_binner():
             eval_set=(binner.transform(X)[:, :3], y),
             binner=binner,
         )
+
+
+def test_fit_refuses_prebinned_codes_out_of_range():
+    """A code the binner cannot produce is refused, not silently split on."""
+    X, y = _problem(n=200, d=5, seed=4)
+    X[:, 2] = np.round(np.nan_to_num(X[:, 2])) > 0  # binary column
+    binner = HistogramBinner(max_bins=16).fit(X)
+    assert binner.n_bins(2) == 2
+    params = GBDTParams(n_estimators=2, max_depth=3, max_bins=16)
+    codes = binner.transform(X)
+    codes[:, 2][::7] = 255  # MISSING_BIN stays legal
+    GradientBoostedClassifier(params).fit(codes, y, binner=binner)
+    for bad in (2, 16, 254):
+        broken = codes.copy()
+        broken[5, 2] = bad
+        with pytest.raises(ValueError, match=r"bin code \d+ at row 5, column 2"):
+            GradientBoostedClassifier(params).fit(broken, y, binner=binner)
+        with pytest.raises(ValueError, match="pre-binned eval X"):
+            GradientBoostedClassifier(params).fit(
+                codes, y, eval_set=(broken, y), binner=binner
+            )

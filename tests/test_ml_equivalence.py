@@ -12,14 +12,22 @@ binner must reproduce the seed kernels (preserved in
   last-ulp rounding may legitimately select the other equally-optimal
   candidate (recorded gains may always differ in the last ulp);
 * batched flat-ensemble margins equal the seed's per-tree prediction loop
-  bitwise, and full training runs produce identical models.
+  bitwise, and full training runs produce identical models;
+* on mixed-cardinality matrices (binary, constant, all-missing,
+  few-valued and continuous columns, the shape of the Table-4 matrix)
+  the compact histogram layout grows the seed's trees whatever the
+  width grouping, and an exact gain tie between width groups goes to the
+  lower feature slot, as in the seed's sequential scan.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ml import tree as tree_mod
 from repro.ml._reference import (
     grow_tree_reference,
     reference_binner_transform,
@@ -31,6 +39,7 @@ from repro.ml.tree import (
     FlatEnsemble,
     HistogramBinner,
     TreeGrowthParams,
+    _TreeBuilder,
     grow_tree,
 )
 
@@ -146,6 +155,110 @@ def test_exact_mode_trees_bitwise_identical(seed, nan_heavy, subset_features):
     _assert_same_tree(ref, new, bitwise_gain=True)
     production = grow_tree(Xb, binner, grad, hess, rows, cols, params)
     _assert_same_tree_or_tied(ref, production)
+
+
+_COLUMN_KINDS = ("binary", "constant", "missing", "few", "continuous")
+
+
+def _mixed_column(rng, kind, n, nan_rate):
+    if kind == "binary":
+        col = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(float)
+    elif kind == "constant":
+        col = np.full(n, float(rng.integers(-3, 4)))
+    elif kind == "missing":
+        return np.full(n, np.nan)
+    elif kind == "few":
+        col = rng.integers(0, int(rng.integers(3, 12)), n).astype(float)
+    else:
+        col = rng.normal(size=n)
+    col[rng.random(n) < nan_rate] = np.nan
+    return col
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    kinds=st.lists(st.sampled_from(_COLUMN_KINDS), min_size=2, max_size=10),
+    nan_rate=st.sampled_from([0.0, 0.1, 0.5]),
+    max_bins=st.sampled_from([8, 64]),
+    group_overhead=st.sampled_from([0, tree_mod._GROUP_OVERHEAD_CELLS, 10**9]),
+    subset=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_mixed_width_trees_bitwise_identical(
+    seed, kinds, nan_rate, max_bins, group_overhead, subset
+):
+    """Compact per-width histograms == the seed scan on mixed columns.
+
+    The width grouping is a speed choice only: one group per distinct
+    width, the default cost model, and everything padded into one group
+    must all grow the seed's tree bit for bit in exact mode (and up to
+    exact gain ties with sibling subtraction).
+    """
+    rng = np.random.default_rng(seed)
+    n = 240
+    X = np.column_stack([_mixed_column(rng, k, n, nan_rate) for k in kinds])
+    grad, hess = _random_grad_hess(seed, n)
+    binner = HistogramBinner(max_bins=max_bins)
+    Xb = binner.fit_transform(X)
+    d = X.shape[1]
+    rows = np.arange(n)
+    cols = np.arange(d)
+    if subset:
+        rows = np.sort(rng.choice(n, size=170, replace=False))
+        cols = np.sort(rng.choice(d, size=max(1, d - 1), replace=False))
+    params = TreeGrowthParams(max_depth=4, min_samples_leaf=2)
+    ref = grow_tree_reference(Xb, binner, grad, hess, rows, cols, params)
+    with mock.patch.object(tree_mod, "_GROUP_OVERHEAD_CELLS", group_overhead):
+        new = grow_tree(
+            Xb, binner, grad, hess, rows, cols, params, sibling_subtraction=False
+        )
+        production = grow_tree(Xb, binner, grad, hess, rows, cols, params)
+    _assert_same_tree(ref, new, bitwise_gain=True)
+    _assert_same_tree_or_tied(ref, production)
+
+
+def _tied_problem(binary_first: bool):
+    """A binary and a 6-bin column whose best splits tie exactly.
+
+    Both columns split the rows into the same two sets; dyadic gradients
+    and hessians make every histogram sum exact, so the two gains are
+    equal bit for bit and only the tie-break decides.
+    """
+    n = 96
+    side = np.arange(n) % 2
+    binary = side.astype(float)
+    wide = side + np.array([0.1, 0.2, 0.3])[np.arange(n) // 2 % 3]
+    X = np.column_stack([binary, wide] if binary_first else [wide, binary])
+    grad = np.where(side == 1, 0.5, -0.5) + np.array([-1, 0, 1])[np.arange(n) % 3] / 16
+    hess = np.full(n, 0.25)
+    return X, grad, hess
+
+
+@pytest.mark.parametrize("binary_first", [True, False])
+@pytest.mark.parametrize("sibling_subtraction", [False, True])
+def test_cross_group_gain_tie_goes_to_lower_slot(binary_first, sibling_subtraction):
+    X, grad, hess = _tied_problem(binary_first)
+    binner = HistogramBinner(max_bins=16)
+    Xb = binner.fit_transform(X)
+    assert sorted(binner.n_bins(f) for f in range(2)) == [2, 6]
+    rows, cols = np.arange(X.shape[0]), np.arange(2)
+    params = TreeGrowthParams(max_depth=1)
+    with mock.patch.object(tree_mod, "_GROUP_OVERHEAD_CELLS", 0):
+        builder = _TreeBuilder(Xb, binner, grad, hess, params, cols)
+        # The binary column's group is scanned first; the tie must still
+        # go to slot 0 when that is the wide column.
+        assert [g.slots.tolist() for g in builder.layout.groups] == (
+            [[0], [1]] if binary_first else [[1], [0]]
+        )
+        tree = grow_tree(
+            Xb, binner, grad, hess, rows, cols, params,
+            sibling_subtraction=sibling_subtraction,
+        )
+    ref = grow_tree_reference(Xb, binner, grad, hess, rows, cols, params)
+    alone = grow_tree_reference(Xb, binner, grad, hess, rows, cols[1:], params)
+    assert ref.feature[0] == 0
+    assert alone.gain[0] == ref.gain[0]  # slot 1's best split ties exactly
+    _assert_same_tree(ref, tree, bitwise_gain=True)
 
 
 @pytest.mark.parametrize(
