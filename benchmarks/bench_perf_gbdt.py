@@ -2,9 +2,12 @@
 
 Times ``GradientBoostedClassifier`` fit and predict against the seed
 implementation preserved in :mod:`repro.ml._reference` on synthetic
-NBM-shaped problems (dense float features with NaN holes) at three sizes,
-verifies the margins agree bitwise, and records the speedups in
-``BENCH_perf.json``.
+NBM-shaped problems, verifies the margins agree bitwise, and records the
+speedups in ``BENCH_perf.json``.  Three sizes are dense float features
+with NaN holes; ``mixed`` mirrors the column mix of the Table-4 matrix
+(about two thirds one-hot/binary columns, a few constant ones, the rest
+few-valued or continuous with NaN holes), where most features have two
+bins and the compact histogram layout matters most.
 
 Each size also times the binned inference path
 (``predict_margin(codes, binned=True)`` on pre-binned uint8 codes — the
@@ -15,7 +18,7 @@ one-time ``HistogramBinner.transform`` cost separately so the cold
 
 Run standalone::
 
-    python benchmarks/bench_perf_gbdt.py           # all three sizes
+    python benchmarks/bench_perf_gbdt.py           # all four sizes
     python benchmarks/bench_perf_gbdt.py --quick   # smallest size only
 """
 
@@ -37,21 +40,33 @@ from repro.ml.gbdt import GBDTParams, GradientBoostedClassifier  # noqa: E402
 
 #: (name, rows, features, trees) — feature counts bracket the Table-4
 #: matrix (~90 columns at tiny scale, wider with S-BERT embeddings).
+#: ``mixed`` has the Table-4 column mix (see ``_make_problem``).
 #: rows * features stays below the fused-histogram block threshold
 #: (repro.ml.tree._BLOCK_ELEMENTS, ~4.2M pairs): above it, production
 #: training blocks root-node histograms and margins can drift from the
 #: seed by ulps, which would trip this bench's exact-equality assertion.
 SIZES = [
     ("small", 2_000, 48, 30),
+    ("mixed", 3_000, 93, 30),
     ("medium", 6_000, 96, 40),
     ("large", 16_000, 128, 50),
 ]
 
 
-def _make_problem(n: int, d: int, seed: int = 0):
+def _make_problem(n: int, d: int, seed: int = 0, mixed: bool = False):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
     X[rng.random((n, d)) < 0.1] = np.nan
+    if mixed:
+        # Table-4 shape: ~2/3 binary (one-hot and flag) columns, a few
+        # constant ones, a few small-integer ones; the rest stay
+        # continuous.  Columns 0 and 1 keep driving the label.
+        n_binary = 2 * d // 3
+        binary = 2 + np.arange(n_binary)
+        X[:, binary] = rng.random((n, n_binary)) < rng.uniform(0.02, 0.6, n_binary)
+        X[:, 1] = X[:, 1] > 0
+        X[:, 2 + n_binary : 5 + n_binary] = 1.0
+        X[:, 5 + n_binary : 9 + n_binary] = rng.integers(0, 12, (n, 4))
     logit = np.nan_to_num(X[:, 0]) - 0.5 * np.nan_to_num(X[:, 1])
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(float)
     return X, y
@@ -61,7 +76,7 @@ def run(quick: bool = False) -> list[dict]:
     results = []
     sizes = SIZES[:1] if quick else SIZES
     for name, n, d, trees in sizes:
-        X, y = _make_problem(n, d)
+        X, y = _make_problem(n, d, mixed=name == "mixed")
         params = GBDTParams(
             n_estimators=trees, max_depth=6, learning_rate=0.2, max_bins=64
         )
