@@ -178,7 +178,8 @@ class GradientBoostedClassifier:
         Bayesian-optimization tuning uses to bin the training matrix once
         across all trials.  In that case ``X`` (and the eval-set features)
         may also be passed as pre-binned uint8 codes from
-        ``binner.transform``, skipping the transform too.  Either way the
+        ``binner.transform``, skipping the transform too (a code that
+        transform cannot produce raises ``ValueError``).  Either way the
         grown trees are identical to the unshared path, because every
         trial's fresh binner would be fitted on the same matrix.
         """

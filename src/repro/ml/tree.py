@@ -34,7 +34,7 @@ The training and inference hot paths are fully vectorized:
 feature of a node in *one* ``np.bincount`` call over a *compact* layout
 (:class:`_HistLayout`): feature slot ``s`` owns ``n_bins(s) + 1``
 consecutive positions from ``offset[s]`` — its value bins, then its
-missing bin — so a one-hot column costs 3 positions, not a fixed 256.
+missing bin — so a one-hot column costs 3 positions.
 Codes are moved to their positions up front (the offset-code matrix:
 once per fit, per tree under row/column subsampling, per node above
 ``_OFFSET_CODES_MAX_ELEMENTS``; :data:`MISSING_BIN` is clamped onto the
@@ -62,10 +62,10 @@ full bitwise parity with the seed kernels (see
 **Vectorized split selection.**  Active slots are partitioned once per
 fit into *width groups* (:func:`_width_runs`: binary columns apart from
 the few wide continuous ones, by a padding-vs-call-overhead cost model).
-Each group gathers its bins into a padded ``(F_g, W)`` block — padding
-reads an always-empty position, exactly like the empty tail bins of a
-fixed-width layout — and evaluates every (feature, missing-direction,
-bin) candidate as one ``(F_g, 2, W-1)`` tensor with a flat ``argmax``.
+Each group gathers its bins into a padded ``(F_g, W)`` block (padding
+reads an always-empty position) and evaluates every (feature,
+missing-direction, bin) candidate as one ``(F_g, 2, W-1)`` tensor with
+a flat ``argmax``.
 C-order flattening gives each group the seed's first-maximum order
 (feature, then missing-goes-right before missing-goes-left, then lowest
 bin), and across groups an exact gain tie goes to the lower feature
@@ -907,9 +907,9 @@ class _HistLayout:
     Slot ``s`` owns ``nbins[s] + 1`` consecutive positions from
     ``offset[s]``: its value bins, then its missing bin.  One trailing
     position (``size - 1``) never receives a row; width groups pad with
-    it, so padded bins read exact zeros as the empty bins of a fixed
-    256-wide layout would.  Splittable slots (two or more bins) are
-    partitioned into width groups by :func:`_width_runs`.
+    it, so padded bins read exact zeros and a slot's cumulative sums
+    stay at its total past its last bin.  Splittable slots (two or more
+    bins) are partitioned into width groups by :func:`_width_runs`.
     """
 
     __slots__ = ("nbins", "offset", "size", "groups")
@@ -1103,13 +1103,12 @@ class _TreeBuilder:
         ascending row order, so each per-feature histogram is bitwise
         identical to a per-feature ``bincount`` loop.
 
-        In production mode, nodes above ``_BLOCK_ELEMENTS`` (row, feature)
-        pairs are processed in row blocks to bound the materialized
-        code/weight arrays; block accumulation can regroup float
-        additions by ulps.  Exact mode (``sibling_subtraction=False``)
-        never blocks — its unconditional bitwise contract with the seed
-        kernels outranks the memory cap — so it materializes the full
-        node at any size.
+        In production mode, nodes above ~4M (row, feature) pairs are
+        processed in row blocks to bound the materialized code/weight
+        arrays; block accumulation can regroup float additions by ulps.
+        Exact mode (``sibling_subtraction=False``) never blocks — its
+        unconditional bitwise contract with the seed kernels outranks the
+        memory cap — so it materializes the full node at any size.
         """
         F = self.n_active
         size = self.layout.size
@@ -1128,20 +1127,20 @@ class _TreeBuilder:
             g_hist = np.bincount(flat, weights=np.repeat(self.g[idx], F), minlength=size)
             h_hist = np.bincount(flat, weights=np.repeat(self.h[idx], F), minlength=size)
             n_hist = np.bincount(flat, minlength=size)
-            return g_hist, h_hist, n_hist
-        g_hist = np.zeros(size)
-        h_hist = np.zeros(size)
-        n_hist = np.zeros(size, dtype=np.int64)
-        for start in range(0, m, step):
-            part = idx[start : start + step]
-            flat = _flat_codes(part)
-            g_hist += np.bincount(
-                flat, weights=np.repeat(self.g[part], F), minlength=size
-            )
-            h_hist += np.bincount(
-                flat, weights=np.repeat(self.h[part], F), minlength=size
-            )
-            n_hist += np.bincount(flat, minlength=size)
+        else:
+            g_hist = np.zeros(size)
+            h_hist = np.zeros(size)
+            n_hist = np.zeros(size, dtype=np.int64)
+            for start in range(0, m, step):
+                part = idx[start : start + step]
+                flat = _flat_codes(part)
+                g_hist += np.bincount(
+                    flat, weights=np.repeat(self.g[part], F), minlength=size
+                )
+                h_hist += np.bincount(
+                    flat, weights=np.repeat(self.h[part], F), minlength=size
+                )
+                n_hist += np.bincount(flat, minlength=size)
         return g_hist, h_hist, n_hist
 
     # -- growth ------------------------------------------------------------

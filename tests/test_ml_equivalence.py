@@ -261,6 +261,39 @@ def test_cross_group_gain_tie_goes_to_lower_slot(binary_first, sibling_subtracti
     _assert_same_tree(ref, tree, bitwise_gain=True)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nan_gain_pass_is_skipped_like_the_seed(seed):
+    """With reg_lambda = 0, rows of zero gradient and hessian make 0/0 gains.
+
+    The seed's per-pass argmax lands on the NaN and keeps nothing from
+    that (feature, direction) pass; the grouped search must do the same.
+    """
+    rng = np.random.default_rng(seed)
+    n = 120
+    X = np.column_stack(
+        [
+            rng.integers(0, 4, n).astype(float),
+            (rng.random(n) < 0.5).astype(float),
+            rng.normal(size=n),
+        ]
+    )
+    X[rng.random(n) < 0.2, 2] = np.nan
+    grad, hess = _random_grad_hess(seed, n)
+    dead = X[:, 0] == 0
+    grad[dead] = 0.0
+    hess[dead] = 0.0
+    binner = HistogramBinner(max_bins=16)
+    Xb = binner.fit_transform(X)
+    rows, cols = np.arange(n), np.arange(X.shape[1])
+    params = TreeGrowthParams(max_depth=3, reg_lambda=0.0, min_child_weight=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = grow_tree_reference(Xb, binner, grad, hess, rows, cols, params)
+        new = grow_tree(
+            Xb, binner, grad, hess, rows, cols, params, sibling_subtraction=False
+        )
+    _assert_same_tree(ref, new, bitwise_gain=True)
+
+
 @pytest.mark.parametrize(
     "seed,nan_rate", [(0, 0.0), (1, 0.5), (2, 0.15), (3, 0.0)]
 )
