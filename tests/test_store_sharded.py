@@ -17,6 +17,7 @@ Two tiers:
   serves the exact monolithic pagination walk.
 """
 
+import json
 import os
 
 import numpy as np
@@ -335,19 +336,59 @@ def test_store_sharded_save_load_and_pagination(tmp_path, tiny_score_store):
 
 
 def test_single_shard_store_serves_mmap_backed(tmp_path, tiny_score_store):
-    """One-shard bundles load zero-copy: claims and margin stay views
-    over the mapped files, nothing is materialized."""
-    root = str(tmp_path / "store")
-    tiny_score_store.save_sharded(root, shards=1)
-    back = ClaimScoreStore.load_sharded(root, mmap=True)
-    assert mmap_backed(back.claims.provider_id)
-    assert mmap_backed(back.claims.cell)
-    assert mmap_backed(back.margin)
-    assert np.array_equal(back.margin, tiny_score_store.margin)
+    """Every bundle loads zero-copy, whatever its shard layout: claims,
+    margin and the derived arrays stay views over the mapped files,
+    nothing is materialized, and the loaded store serves the built one's
+    etag and records byte for byte."""
+    built = tiny_score_store
+    for layout in (1, None, 6):
+        root = str(tmp_path / f"store-{layout}")
+        built.save_sharded(root, shards=layout)
+        back = ClaimScoreStore.load_sharded(root, mmap=True)
+        for name, _ in ClaimColumns.EXPORT_FIELDS:
+            assert mmap_backed(getattr(back.claims, name)), (layout, name)
+        assert mmap_backed(back.margin), layout
+        for arr in (back.score, back.sus_order, back.sus_rank,
+                    back.percentile, back._sorted_margin):
+            assert mmap_backed(arr), layout
+        assert np.array_equal(back.margin, built.margin)
+        assert back.etag == built.etag
+        # Encode the built side uncached: the session store stays as is.
+        assert [back.record_json(r) for r in range(len(back))] == [
+            json.dumps(built.record(r)).encode("utf-8")
+            for r in range(len(built))
+        ], layout
     # mmap=False materializes plain arrays instead.
     eager = ClaimScoreStore.load_sharded(root, mmap=False)
     assert not mmap_backed(eager.claims.provider_id)
-    assert np.array_equal(eager.margin, tiny_score_store.margin)
+    assert np.array_equal(eager.margin, built.margin)
+
+
+def test_bundle_file_count_is_independent_of_layout(tmp_path):
+    """The state partition is metadata, not a copy of the table split
+    into files: a score-store bundle holds the same files whatever
+    ``shards`` says, empty shards included."""
+    claims = make_random_claims(21, n=600)
+    store = ClaimScoreStore(
+        claims, np.random.default_rng(21).normal(size=len(claims))
+    )
+    layouts = {
+        "per-state": None,
+        "one": 1,
+        "six": 6,
+        "map": {s.abbr: ("west" if i % 2 else "east") for i, s in enumerate(STATES)},
+        "more-than-states": N_STATES + 8,
+    }
+    counts = {}
+    for label, layout in layouts.items():
+        root = str(tmp_path / label)
+        store.save_sharded(root, shards=layout)
+        n_on_disk = sum(len(files) for _, _, files in os.walk(root))
+        manifest = persist.read_manifest(root)
+        assert n_on_disk == len(manifest["files"]) + 1, label  # + manifest
+        counts[label] = n_on_disk
+    assert len(set(counts.values())) == 1, counts
+    assert counts["one"] <= 24, counts
 
 
 def test_single_shard_bundle_persists_derived_arrays(tmp_path, tiny_score_store):
