@@ -86,10 +86,10 @@ class ClaimColumns:
     #: Filing state per claim (index into repro.fcc.states.STATES), from
     #: the claim's first filing row (AvailabilityTable.claim_first_rows).
     state_idx: np.ndarray  # int16
-    #: Composite-key index; ``None`` until first lookup (lazy).  Sharded
-    #: stores hold many small per-shard tables, most of which are never
-    #: probed, so index construction is deferred to first use (or a
-    #: persisted index is passed in — see ``MultiColumnIndex.from_state``).
+    #: Composite-key index; ``None`` until first lookup (lazy).  Row
+    #: subsets (``take``, e.g. one shard) are mostly never probed, so
+    #: index construction is deferred to first use (or a persisted index
+    #: is passed in — see ``MultiColumnIndex.from_state``).
     _index: MultiColumnIndex | None = field(
         default=None, repr=False, compare=False
     )

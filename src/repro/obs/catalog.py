@@ -118,7 +118,7 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
     ),
     "shard_build_seconds": (
         "histogram",
-        "Sharded-store stage timings, by stage: split (per shard), "
+        "Sharded-store stage timings, by stage: split (per partition), "
         "write and load (per bundle).",
     ),
     # -- serve/workers.py (parent process of the pre-fork pool) ----------

@@ -155,7 +155,7 @@ class AuditService:
 
         Loads :meth:`ClaimScoreStore.load_sharded` — memory-mapped
         read-only by default, so a national-scale bundle serves without
-        materializing untouched shards — and registers it as the default
+        materializing untouched pages — and registers it as the default
         version.  Lookups and cursor pagination reproduce the monolithic
         ``sus_order`` exactly (the sharded equivalence contract); the
         cold path needs a classifier and is unavailable here.

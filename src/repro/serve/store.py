@@ -135,9 +135,9 @@ class ClaimScoreStore:
         self._etag: str | None = None
         self._record_json_cache: dict[int, bytes] = {}
 
-    #: Derived arrays persisted by ``save_sharded`` so a single-shard
-    #: bundle can serve without recomputing them per process (key ->
-    #: required dtype).  All are deterministic functions of the margins.
+    #: Derived arrays persisted by ``save_sharded`` so a loaded bundle
+    #: can serve without recomputing them per process (key -> required
+    #: dtype).  All are deterministic functions of the margins.
     _DERIVED_SPECS = {
         "score": np.float64,
         "sus_order": np.int64,
@@ -152,8 +152,8 @@ class ClaimScoreStore:
     ) -> "ClaimScoreStore":
         """Construct from persisted derived arrays, skipping recompute.
 
-        The zero-copy pre-fork path: with an mmap-backed single-shard
-        bundle every array — claims, margin, *and* the derived orderings
+        The zero-copy pre-fork path: with an mmap-backed bundle every
+        array — claims, margin, *and* the derived orderings
         — stays a read-only mapped page shared by all worker processes,
         instead of each fork rebuilding ~40 bytes/claim of private heap.
         """
@@ -466,46 +466,32 @@ class ClaimScoreStore:
     def save_sharded(
         self, path: str, shards=None, include_derived: bool = True
     ) -> str:
-        """Write the store as a per-state sharded bundle (raw-mmap files).
+        """Write the store as one raw-mmap bundle with a per-state partition.
 
-        The claim columns shard through
+        The claim columns persist once, in row order, through
         :class:`repro.store.sharded.ShardedClaimColumns` (``shards``
-        picks the layout) and each shard carries its slice of the margin
-        array.  A *single-shard* bundle additionally persists the
-        derived arrays (score, orderings, percentiles) so
-        :meth:`load_sharded` can serve them straight off the mapped
-        pages — the pre-fork worker pool shares one page-cache copy
-        instead of recomputing per process.  Multi-shard bundles skip
-        them (the orderings are global, not per-shard) and recompute on
-        load; ``include_derived=False`` forces the lean layout.
+        picks the partition, which is stored as row ranges) next to the
+        margin array.  The derived arrays (score, orderings,
+        percentiles) persist too, so :meth:`load_sharded` serves them
+        straight off the mapped pages — the pre-fork worker pool shares
+        one page-cache copy instead of recomputing per process.
+        ``include_derived=False`` writes the lean layout, which
+        recomputes them on load.
         """
         from repro.store.sharded import ShardedClaimColumns
 
-        sharded = ShardedClaimColumns.from_claims(self.claims, shards=shards)
-        extra_shard_arrays = {
-            name: {"margin": self.margin[sharded.global_rows(name)]}
-            for name in sharded.shard_names
-        }
-        names = sharded.shard_names
-        if include_derived and len(names) == 1:
-            rows = sharded.global_rows(names[0])
-            # Shard row i holds global row rows[i]; sus_order/sus_rank
-            # speak in row indices, so they only persist unchanged when
-            # the mapping is the identity (always true for one shard of
-            # canonically sorted claims — guarded, not assumed).
-            if np.array_equal(rows, np.arange(rows.size, dtype=rows.dtype)):
-                extra_shard_arrays[names[0]].update(
-                    {
-                        "score": self.score,
-                        "sus_order": self.sus_order,
-                        "sus_rank": self.sus_rank,
-                        "sorted_margin": self._sorted_margin,
-                        "percentile": self.percentile,
-                    }
-                )
-        return sharded.save(
+        extra = {"margin": self.margin}
+        if include_derived:
+            extra.update(
+                score=self.score,
+                sus_order=self.sus_order,
+                sus_rank=self.sus_rank,
+                sorted_margin=self._sorted_margin,
+                percentile=self.percentile,
+            )
+        return ShardedClaimColumns.from_claims(self.claims, shards=shards).save(
             path,
-            extra_shard_arrays=extra_shard_arrays,
+            extra_arrays=extra,
             extra_manifest={"store": {"kind": "claim-score-store"}},
         )
 
@@ -513,10 +499,9 @@ class ClaimScoreStore:
     def load_sharded(cls, path: str, mmap: bool = True) -> "ClaimScoreStore":
         """Rebuild a store from a bundle written by :meth:`save_sharded`.
 
-        With ``mmap=True`` the shard columns open as read-only
-        memory-mapped views; a single-shard bundle serves *zero-copy*
-        (claims and margin stay mmap-backed), while multi-shard bundles
-        scatter shards back into monolithic row order.
+        With ``mmap=True`` every array opens as a read-only
+        memory-mapped view, so the store serves *zero-copy* (claims,
+        margin and the derived arrays stay mmap-backed).
         """
         mode = "mmap" if mmap else "eager"
         with get_metrics().histogram("store_load_seconds", mode=mode).time():
@@ -527,28 +512,14 @@ class ClaimScoreStore:
         from repro.store.sharded import ShardedClaimColumns
 
         sharded = ShardedClaimColumns.load(path, mmap=mmap)
-        missing = [
-            name
-            for name in sharded.shard_names
-            if "margin" not in sharded.extra_arrays.get(name, {})
-        ]
-        if missing:
+        extra = sharded.extra_arrays
+        if "margin" not in extra:
             raise ValueError(
-                f"sharded bundle at {path} has no margin payload for "
-                f"shard(s) {missing[:5]} (was it written by save_sharded?)"
+                f"claim bundle at {path} has no margin payload "
+                "(was it written by save_sharded?)"
             )
-        names = sharded.shard_names
-        if len(names) == 1:
-            name = names[0]
-            extra = sharded.extra_arrays[name]
-            if all(key in extra for key in cls._DERIVED_SPECS):
-                return cls._from_saved_arrays(
-                    sharded.shard(name), extra["margin"], extra
-                )
-            return cls(sharded.shard(name), extra["margin"])
-        margin = np.empty(len(sharded))
-        for name in names:
-            margin[sharded.global_rows(name)] = sharded.extra_arrays[name][
-                "margin"
-            ]
-        return cls(sharded.to_claims(), margin)
+        if all(key in extra for key in cls._DERIVED_SPECS):
+            return cls._from_saved_arrays(
+                sharded.to_claims(), extra["margin"], extra
+            )
+        return cls(sharded.to_claims(), extra["margin"])

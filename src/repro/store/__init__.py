@@ -1,13 +1,13 @@
-"""National-shard claim store: per-state mmap shards, streaming BDC
-ingestion, and shard-parallel score-store builds.
+"""National-shard claim store: one mmap claim table with a per-state
+partition, streaming BDC ingestion, and shard-parallel score-store builds.
 
 ==============================  ==============================================
 Module                          Responsibility
 ==============================  ==============================================
 :mod:`repro.store.sharded`      :class:`ShardedClaimColumns` — per-state
-                                shards of the claim columns, persisted as
-                                one raw-mmap :mod:`repro.utils.persist`
-                                bundle
+                                row ranges over one claim table, persisted
+                                as one raw-mmap :mod:`repro.utils.persist`
+                                bundle (one file per column)
 :mod:`repro.store.ingest`       streaming BDC-CSV ingestion with validation,
                                 a rejected-rows sidecar, and exact
                                 round-tripping

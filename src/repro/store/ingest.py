@@ -7,8 +7,8 @@ that format in bounded chunks, validates and normalizes every row, and
 commits the survivors as a :class:`~repro.store.sharded.ShardedClaimColumns`
 bundle:
 
-* **Streaming parse** — rows are buffered per shard and converted into
-  compact structured-array segments every ``chunk_rows`` rows, so
+* **Streaming parse** — rows are buffered and converted into compact
+  structured-array segments every ``chunk_rows`` rows, so
   Python-object overhead stays bounded by the chunk regardless of input
   size (the columnar segments themselves grow with the data; spilling
   them to disk is the follow-on for multi-GB releases).
@@ -20,13 +20,13 @@ bundle:
   (:data:`repro.fcc.bdc.NBM_SPEED_FLOORS`).
 * **Duplicate keys** — a composite key ``(provider, cell, technology)``
   may appear once nationally; later occurrences (by source order),
-  including cross-state re-filings that would land in *different*
+  including cross-state re-filings that would route to *different*
   shards, are rejected to the sidecar naming the first occurrence.
 * **Crash safety** — nothing under ``root`` changes until every source
   is parsed and deduplicated; the commit is
   :meth:`ShardedClaimColumns.save`'s atomic generation-plus-manifest
   protocol, so a killed ingest leaves the previous manifest pointing
-  only at the previous run's complete shards.
+  only at the previous run's complete bundle.
 
 The round-trip contract (property-tested):
 ``ClaimColumns -> write_bdc_csv -> ingest_csv -> to_claims`` is
@@ -252,24 +252,15 @@ def ingest_csv(
         raise ValueError("chunk_rows must be >= 1")
     ingest_start = time.perf_counter()
     state_map = _resolve_state_map(shards)
-    shard_names = sorted(set(state_map.values()))
-    ordinal = {name: i for i, name in enumerate(shard_names)}
-    shard_of_state = np.array(
-        [ordinal[state_map[s.abbr]] for s in STATES], dtype=np.int64
-    )
     rejects = _Rejects()
-    segments: dict[int, list[np.ndarray]] = {i: [] for i in range(len(shard_names))}
+    segments: list[np.ndarray] = []
     buffer: list[tuple] = []
     n_read = 0
 
     def _flush() -> None:
-        if not buffer:
-            return
-        block = np.array(buffer, dtype=_ROW_DTYPE)
-        buffer.clear()
-        shard_ids = shard_of_state[block["state_idx"].astype(np.int64)]
-        for sid in np.unique(shard_ids):
-            segments[int(sid)].append(block[shard_ids == sid])
+        if buffer:
+            segments.append(np.array(buffer, dtype=_ROW_DTYPE))
+            buffer.clear()
 
     source_labels: list[str] = []
     for source_ord, source in enumerate(sources):
@@ -294,14 +285,13 @@ def ingest_csv(
             close()
     _flush()
 
-    # Per-shard assembly: order by key then source order, so the first
-    # occurrence of every composite key survives deduplication.
-    shard_data: dict[int, np.ndarray] = {}
-    for sid, segs in segments.items():
-        data = (
-            np.concatenate(segs) if segs else np.empty(0, dtype=_ROW_DTYPE)
-        )
-        order = np.lexsort(
+    # One global sort by key then source order: the first occurrence of
+    # every composite key leads its run (keys are unique *nationally*, so
+    # cross-state re-filings are duplicates too), and the survivors are
+    # already in the canonical (provider, cell, technology) row order.
+    data = np.concatenate(segments) if segments else np.empty(0, _ROW_DTYPE)
+    data = data[
+        np.lexsort(
             (
                 data["line"],
                 data["source_ord"],
@@ -310,106 +300,44 @@ def ingest_csv(
                 data["provider_id"],
             )
         )
-        shard_data[sid] = data[order]
-
-    # Global duplicate scan (keys are unique *nationally*, so cross-shard
-    # re-filings under a different state are duplicates too).
-    all_keys = np.concatenate(
-        [
-            shard_data[sid][["provider_id", "cell", "technology"]]
-            for sid in range(len(shard_names))
-        ]
-    )
-    all_src = np.concatenate(
-        [
-            np.stack(
-                [
-                    shard_data[sid]["source_ord"].astype(np.int64),
-                    shard_data[sid]["line"],
-                ],
-                axis=1,
-            )
-            for sid in range(len(shard_names))
-        ]
-    )
-    keep = np.ones(all_keys.size, dtype=bool)
-    if all_keys.size:
-        order = np.lexsort(
-            (
-                all_src[:, 1],
-                all_src[:, 0],
-                all_keys["technology"],
-                all_keys["cell"],
-                all_keys["provider_id"],
-            )
-        )
-        sorted_keys = all_keys[order]
-        dup_follows = sorted_keys[1:] == sorted_keys[:-1]
+    ]
+    keys = data[["provider_id", "cell", "technology"]]
+    dup_follows = keys[1:] == keys[:-1]
+    keep = np.r_[True, ~dup_follows] if data.size else np.ones(0, dtype=bool)
+    if dup_follows.any():
         # First index of each duplicate's run, for the reject message:
         # propagate the last run-start index forward (run starts are
         # strictly increasing, so a running max carries them).
-        is_start = np.r_[True, ~dup_follows]
         run_first = np.maximum.accumulate(
-            np.where(is_start, np.arange(sorted_keys.size), 0)
+            np.where(keep, np.arange(data.size), 0)
         )
-        for j in np.flatnonzero(np.r_[False, dup_follows]):
-            dup_idx = order[j]
-            first_idx = order[run_first[j]]
-            keep[dup_idx] = False
-            key = all_keys[dup_idx]
+        for j in np.flatnonzero(~keep):
+            dup, first = data[j], data[run_first[j]]
             rejects.add(
-                source_labels[int(all_src[dup_idx, 0])],
-                int(all_src[dup_idx, 1]),
+                source_labels[int(dup["source_ord"])],
+                int(dup["line"]),
                 "duplicate claim key: "
-                f"({int(key['provider_id'])}, {int(key['cell'])}, "
-                f"{int(key['technology'])}) first seen at "
-                f"{source_labels[int(all_src[first_idx, 0])]} line "
-                f"{int(all_src[first_idx, 1])}",
+                f"({int(dup['provider_id'])}, {int(dup['cell'])}, "
+                f"{int(dup['technology'])}) first seen at "
+                f"{source_labels[int(first['source_ord'])]} line "
+                f"{int(first['line'])}",
             )
-
-    # Split the keep mask back per shard and build the final columns.
-    out_shards: dict[str, ClaimColumns] = {}
-    kept_per_shard: dict[str, np.ndarray] = {}
-    offset = 0
+    data = data[keep]
+    claims = ClaimColumns.from_arrays(
+        {col: data[col] for col, _ in ClaimColumns.EXPORT_FIELDS}
+    )
+    sharded = ShardedClaimColumns.from_claims(claims, shards=state_map)
+    n_total = len(claims)
     per_shard_stats: dict[str, dict] = {}
-    for sid, name in enumerate(shard_names):
-        data = shard_data[sid]
-        mask = keep[offset : offset + data.size]
-        offset += data.size
-        data = data[mask]
-        out_shards[name] = ClaimColumns.from_arrays(
-            {
-                col: np.ascontiguousarray(data[col])
-                for col, _ in ClaimColumns.EXPORT_FIELDS
-            }
-        )
-        kept_per_shard[name] = data
+    for name in sharded.shard_names:
+        rows = sharded.global_rows(name)
         per_shard_stats[name] = {
-            "n_rows": int(data.size),
+            "n_rows": int(rows.size),
             "states": sorted(
                 STATES[i].abbr
-                for i in np.unique(data["state_idx"]).astype(int)
+                for i in np.unique(claims.state_idx[rows]).astype(int)
             ),
         }
-
-    # Global lexicographic row order across shards -> global_rows maps.
-    n_total = sum(len(out_shards[name]) for name in shard_names)
-    cat = (
-        np.concatenate([kept_per_shard[name] for name in shard_names])
-        if n_total
-        else np.empty(0, dtype=_ROW_DTYPE)
-    )
-    perm = np.lexsort((cat["technology"], cat["cell"], cat["provider_id"]))
-    global_of_concat = np.empty(n_total, dtype=np.int64)
-    global_of_concat[perm] = np.arange(n_total, dtype=np.int64)
-    global_rows: dict[str, np.ndarray] = {}
-    offset = 0
-    for name in shard_names:
-        n = len(out_shards[name])
-        global_rows[name] = global_of_concat[offset : offset + n]
-        offset += n
-
-    sharded = ShardedClaimColumns(out_shards, global_rows, state_map, n_total)
 
     # Commit: sidecar first (content-addressed, unreferenced until the
     # manifest lands), then the atomic generation + manifest replace.

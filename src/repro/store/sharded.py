@@ -1,30 +1,34 @@
-"""National-shard claim store: per-state shards of ``ClaimColumns``.
+"""National-shard claim store: per-state row ranges over one claim table.
 
 The NBM's unit of release is the *state*: real BDC tooling downloads one
 availability CSV per state and processes them slice by slice, and the
 challenge-analysis literature works on the same per-state grain.  This
-module splits the monolithic :class:`~repro.fcc.bdc.ClaimColumns`
-parallel arrays into per-state (or grouped) shards that persist as raw
-``.npy`` files — one file per column per shard — so a national-scale
-store loads *read-only and zero-copy* via ``numpy.load(mmap_mode="r")``:
-no column is paged in until something touches it.
+module keeps that partition as *metadata* over the monolithic
+:class:`~repro.fcc.bdc.ClaimColumns` table: every shard is a contiguous
+range of one row array, so the table itself is stored once and persists
+as one raw ``.npy`` file per column, whatever the layout.  A saved store
+loads *read-only and zero-copy* via ``numpy.load(mmap_mode="r")``: no
+column is paged in until something touches it.
 
 A saved store is one :mod:`repro.utils.persist` bundle (crash-safe,
 hashed, generation-swapped) whose array keys are::
 
-    shards/<name>/<column>         <- the eight ClaimColumns columns
-    shards/<name>/global_rows      <- monolithic row per shard row
-    shards/<name>/index/<key>      <- persisted composite-key index
-    shards/<name>/<extra>          <- caller payloads (e.g. margins)
+    <column>         <- the eight ClaimColumns columns, monolithic order
+    index/<key>      <- the persisted composite-key index
+    shard_rows       <- each shard's monolithic rows (ascending), shards
+                        concatenated in name order
+    shard_offsets    <- shard i owns shard_rows[off[i]:off[i + 1]]
+    <extra>          <- caller payloads aligned to monolithic rows
+                        (e.g. margins)
 
-The manifest adds per-column dtypes, per-shard row counts and states,
-and the state->shard routing map; ``persist.verify`` re-hashes it.
+The manifest adds the row count, per-column dtypes and the state->shard
+routing map; ``persist.verify`` re-hashes the arrays.
 
-Equivalence contract (property-tested): every shard preserves the
-monolithic lexicographic key order among its own rows and carries the
-``global_rows`` scatter map, so :meth:`to_claims` reassembles the
-original ``ClaimColumns`` bitwise and :meth:`positions` agrees with the
-monolithic composite index on hits *and* misses.
+Equivalence contract (property-tested): every shard is
+``claims.take(global_rows(name))`` with its rows in ascending monolithic
+order, so it preserves the monolithic lexicographic key order among its
+own rows; :meth:`to_claims` is the monolithic table itself and
+:meth:`positions` is the monolithic composite index.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from repro.utils.indexing import MultiColumnIndex
 
 
 def _stage_timer(stage: str):
-    """Sharded-store stage timer (split per shard, write/load per bundle)."""
+    """Sharded-store stage timer (split, write and load, once per call)."""
     return get_metrics().histogram("shard_build_seconds", stage=stage).time()
 
 __all__ = ["ShardedClaimColumns"]
@@ -85,48 +89,57 @@ def _resolve_state_map(shards) -> dict[str, str]:
 class ShardedClaimColumns:
     """A ``ClaimColumns`` table partitioned into named per-state shards.
 
-    Each shard is itself a :class:`~repro.fcc.bdc.ClaimColumns` (rows in
-    monolithic relative order) plus a ``global_rows`` int64 array mapping
-    shard rows back to monolithic rows.  Construct with
-    :meth:`from_claims` (split an in-memory table) or :meth:`load`
-    (memory-map a saved bundle).
+    The table is held once, in monolithic row order.  ``shard_rows``
+    lists each shard's monolithic rows in ascending order, shards
+    concatenated in name order, and ``shard_offsets`` (one entry per
+    shard plus one) delimits them.  Construct with :meth:`from_claims`
+    (partition an in-memory table) or :meth:`load` (memory-map a saved
+    bundle).
     """
 
     def __init__(
         self,
-        shards: dict[str, ClaimColumns],
-        global_rows: dict[str, np.ndarray],
+        claims: ClaimColumns,
+        shard_rows: np.ndarray,
+        shard_offsets: np.ndarray,
         state_to_shard: dict[str, str],
-        n_rows: int,
-        extra_arrays: dict[str, dict[str, np.ndarray]] | None = None,
+        extra_arrays: dict[str, np.ndarray] | None = None,
     ):
-        if set(shards) != set(global_rows):
-            raise ValueError("shards and global_rows must share names")
-        unknown = set(state_to_shard.values()) - set(shards)
-        if unknown:
-            raise ValueError(f"state map routes to unknown shards {unknown}")
-        self._shards = dict(shards)
-        self._global_rows = {
-            name: np.asarray(rows, dtype=np.int64)
-            for name, rows in global_rows.items()
-        }
         self.state_to_shard = dict(state_to_shard)
-        self._n_rows = int(n_rows)
-        #: Per-shard caller payloads loaded from a bundle (e.g. margins).
+        self._names = sorted(set(self.state_to_shard.values()))
+        self._claims = claims
+        self._shard_rows = np.asarray(shard_rows, dtype=np.int64)
+        self._shard_offsets = np.asarray(shard_offsets, dtype=np.int64)
+        offsets = self._shard_offsets
+        if (
+            offsets.shape != (len(self._names) + 1,)
+            or offsets[0] != 0
+            or offsets[-1] != self._shard_rows.size
+            or self._shard_rows.size != len(claims)
+            or np.any(np.diff(offsets) < 0)
+        ):
+            raise ValueError(
+                f"shard_offsets {offsets.tolist()[:8]} do not delimit "
+                f"{len(self._names)} shards over {len(claims)} rows"
+            )
+        self._ordinal = {name: i for i, name in enumerate(self._names)}
+        #: Caller payloads aligned to monolithic rows (e.g. margins).
         self.extra_arrays = extra_arrays or {}
 
     def __len__(self) -> int:
-        return self._n_rows
+        return len(self._claims)
 
     @property
     def shard_names(self) -> list[str]:
-        return sorted(self._shards)
-
-    def shard(self, name: str) -> ClaimColumns:
-        return self._shards[name]
+        return list(self._names)
 
     def global_rows(self, name: str) -> np.ndarray:
-        return self._global_rows[name]
+        """Monolithic row per shard row, ascending."""
+        i = self._ordinal[name]
+        return self._shard_rows[self._shard_offsets[i] : self._shard_offsets[i + 1]]
+
+    def shard(self, name: str) -> ClaimColumns:
+        return self._claims.take(self.global_rows(name))
 
     # -- construction --------------------------------------------------------
 
@@ -137,8 +150,9 @@ class ShardedClaimColumns:
         """Partition a monolithic claim table by its per-row state.
 
         ``shards`` is a layout spec (see :func:`_resolve_state_map`).
-        Row order within each shard is ascending monolithic row, so the
-        monolithic lexicographic key order is preserved shard-locally.
+        One stable argsort of the per-row shard ordinal keeps every
+        shard's rows in ascending monolithic order, so the monolithic
+        lexicographic key order is preserved shard-locally.
         """
         state_map = _resolve_state_map(shards)
         names = sorted(set(state_map.values()))
@@ -146,96 +160,65 @@ class ShardedClaimColumns:
         shard_of_state = np.array(
             [ordinal[state_map[a]] for a in _STATE_ABBRS], dtype=np.int64
         )
-        shard_per_row = shard_of_state[claims.state_idx.astype(np.int64)]
-        out_shards: dict[str, ClaimColumns] = {}
-        out_rows: dict[str, np.ndarray] = {}
-        for name in names:
-            with _stage_timer("split"):
-                rows = np.flatnonzero(shard_per_row == ordinal[name]).astype(
-                    np.int64
-                )
-                out_shards[name] = claims.take(rows)
-                out_rows[name] = rows
-        return cls(out_shards, out_rows, state_map, len(claims))
+        with _stage_timer("split"):
+            shard_per_row = shard_of_state[claims.state_idx.astype(np.int64)]
+            shard_rows = np.argsort(shard_per_row, kind="stable")
+            offsets = np.zeros(len(names) + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(shard_per_row, minlength=len(names)),
+                out=offsets[1:],
+            )
+        return cls(claims, shard_rows, offsets, state_map)
 
     # -- monolithic views ----------------------------------------------------
 
     def to_claims(self) -> ClaimColumns:
-        """Reassemble the monolithic table (bitwise) by scattering shards."""
-        columns = {
-            name: np.empty(self._n_rows, dtype=dtype)
-            for name, dtype in ClaimColumns.EXPORT_FIELDS
-        }
-        for shard_name, shard in self._shards.items():
-            rows = self._global_rows[shard_name]
-            for name, _ in ClaimColumns.EXPORT_FIELDS:
-                columns[name][rows] = getattr(shard, name)
-        return ClaimColumns.from_arrays(columns)
+        """The monolithic table (a loaded bundle's mapped columns)."""
+        return self._claims
 
     def positions(
         self, provider_id: np.ndarray, cell: np.ndarray, technology: np.ndarray
     ) -> np.ndarray:
-        """Monolithic row per claim key (``-1`` = miss), probing shards.
-
-        Keys are globally unique, so at most one shard answers each
-        query; hits map through that shard's ``global_rows``.
-        """
-        provider_id = np.asarray(provider_id, dtype=np.int64)
-        out = np.full(provider_id.size, -1, dtype=np.intp)
-        for name, shard in self._shards.items():
-            if not len(shard):
-                continue
-            pos = shard.positions(provider_id, cell, technology)
-            hit = pos >= 0
-            if hit.any():
-                out[hit] = self._global_rows[name][pos[hit]]
-        return out
+        """Monolithic row per claim key (``-1`` = miss)."""
+        return self._claims.positions(provider_id, cell, technology)
 
     # -- persistence ---------------------------------------------------------
 
     def save(
         self,
         root: str,
-        extra_shard_arrays: dict[str, dict[str, np.ndarray]] | None = None,
+        extra_arrays: dict[str, np.ndarray] | None = None,
         extra_manifest: dict | None = None,
     ) -> str:
-        """Write the sharded bundle under ``root`` (crash-safe commit).
+        """Write the bundle under ``root`` (crash-safe commit).
 
         One :func:`repro.utils.persist.write` bundle: an interrupted save
-        never invalidates a previously committed one.
-        ``extra_shard_arrays`` adds caller payloads per shard (e.g.
-        ``{"ca": {"margin": ...}}``); ``extra_manifest`` merges extra
-        top-level keys (e.g. ingestion stats) into the manifest.
+        never invalidates a previously committed one.  ``extra_arrays``
+        adds caller payloads aligned to monolithic rows (e.g.
+        ``{"margin": ...}``); ``extra_manifest`` merges extra top-level
+        keys (e.g. ingestion stats) into the manifest.
         """
-        arrays: dict[str, np.ndarray] = {}
-        shard_entries = []
-        for name in self.shard_names:
-            shard = self._shards[name]
-            own = dict(shard.export_arrays())
-            own["global_rows"] = self._global_rows[name]
-            for key, arr in (extra_shard_arrays or {}).get(name, {}).items():
-                if key in own:
-                    raise ValueError(f"extra array {key!r} shadows a column")
-                own[key] = arr
-            for key, arr in shard.index.export_state().items():
-                own[f"{_INDEX_GROUP}/{key}"] = arr
-            arrays.update(
-                {f"shards/{name}/{key}": arr for key, arr in own.items()}
-            )
-            states = sorted(
-                a for a, s in self.state_to_shard.items() if s == name
-            )
-            shard_entries.append(
-                {"name": name, "n_rows": int(len(shard)), "states": states}
-            )
+        arrays: dict[str, np.ndarray] = dict(self._claims.export_arrays())
+        arrays["shard_rows"] = self._shard_rows
+        arrays["shard_offsets"] = self._shard_offsets
+        for key, arr in self._claims.index.export_state().items():
+            arrays[f"{_INDEX_GROUP}/{key}"] = arr
+        for key, arr in (extra_arrays or {}).items():
+            if key in arrays or key.split("/")[0] == _INDEX_GROUP:
+                raise ValueError(f"extra array {key!r} shadows a bundle array")
+            if np.shape(arr)[:1] != (len(self),):
+                raise ValueError(
+                    f"extra array {key!r} has shape {np.shape(arr)}, "
+                    f"expected one entry per row ({len(self)})"
+                )
+            arrays[key] = arr
         meta = {
-            "n_rows": self._n_rows,
+            "n_rows": len(self),
             "columns": {
                 name: str(np.dtype(dtype))
                 for name, dtype in ClaimColumns.EXPORT_FIELDS
             },
             "state_to_shard": dict(sorted(self.state_to_shard.items())),
-            "shards": shard_entries,
         }
         for key in extra_manifest or {}:
             if key in meta:
@@ -249,56 +232,34 @@ class ShardedClaimColumns:
         """Open a saved bundle; ``mmap=True`` maps every array read-only.
 
         Memory-mapped columns are zero-copy views: nothing is paged in
-        until a lookup touches it, and persisted composite-key indexes
-        load the same way (no re-factorization).
+        until a lookup touches it, and the persisted composite-key index
+        loads the same way (no re-factorization).
         """
         with _stage_timer("load"):
             bundle = persist.read(root, _KIND, mmap=mmap)
-        column_names = {name for name, _ in ClaimColumns.EXPORT_FIELDS}
-        # One pass over the keys (shards/<name>/<rest>), not one per shard.
-        by_shard: dict[str, dict[str, np.ndarray]] = {}
-        for key, arr in bundle.arrays.items():
-            _, name, rest = key.split("/", 2)
-            by_shard.setdefault(name, {})[rest] = arr
-        shards: dict[str, ClaimColumns] = {}
-        global_rows: dict[str, np.ndarray] = {}
-        extra: dict[str, dict[str, np.ndarray]] = {}
-        for entry in bundle.manifest["shards"]:
-            name = entry["name"]
-            arrays = by_shard.get(name, {})
-            index_state = {
-                key[len(_INDEX_GROUP) + 1:]: arrays.pop(key)
-                for key in list(arrays)
-                if key.startswith(f"{_INDEX_GROUP}/")
-            }
-            missing = (column_names | {"global_rows"}) - set(arrays)
-            if missing:
-                raise ValueError(
-                    f"shard {name!r} is missing columns {sorted(missing)}"
-                )
-            global_rows[name] = arrays.pop("global_rows")
-            shard_extra = {
-                key: arrays.pop(key) for key in list(arrays)
-                if key not in column_names
-            }
-            index = (
-                MultiColumnIndex.from_state(index_state)
-                if index_state
-                else None
+        arrays = dict(bundle.arrays)
+        index_state = bundle.group(_INDEX_GROUP)
+        for key in index_state:
+            del arrays[f"{_INDEX_GROUP}/{key}"]
+        column_names = [name for name, _ in ClaimColumns.EXPORT_FIELDS]
+        missing = {*column_names, "shard_rows", "shard_offsets"} - set(arrays)
+        if missing:
+            raise ValueError(
+                f"claim bundle at {root} is missing arrays {sorted(missing)}"
             )
-            shard = ClaimColumns.from_arrays(arrays, index=index)
-            if int(entry["n_rows"]) != len(shard):
-                raise ValueError(
-                    f"shard {name!r} row count {len(shard)} disagrees with "
-                    f"manifest ({entry['n_rows']})"
-                )
-            shards[name] = shard
-            if shard_extra:
-                extra[name] = shard_extra
+        claims = ClaimColumns.from_arrays(
+            {name: arrays.pop(name) for name in column_names},
+            index=MultiColumnIndex.from_state(index_state) if index_state else None,
+        )
+        if len(claims) != bundle.manifest["n_rows"]:
+            raise ValueError(
+                f"claim bundle at {root} holds {len(claims)} rows, its "
+                f"manifest says {bundle.manifest['n_rows']}"
+            )
         return cls(
-            shards,
-            global_rows,
+            claims,
+            arrays.pop("shard_rows"),
+            arrays.pop("shard_offsets"),
             bundle.manifest["state_to_shard"],
-            bundle.manifest["n_rows"],
-            extra_arrays=extra,
+            extra_arrays=arrays,
         )

@@ -153,8 +153,8 @@ class MultiColumnIndex:
         per-stage fused codes, and the dense code->row table — so
         :meth:`from_state` rebuilds a working index without re-factorizing
         the key columns.  The sharded claim store persists these arrays
-        per shard (the manifest's "composite-key index" payload) and
-        memory-maps them back read-only.
+        once per bundle (the manifest's "composite-key index" payload)
+        and memory-maps them back read-only.
         """
         out = {
             f"uniques_{i}": uniq for i, uniq in enumerate(self._uniques)

@@ -56,7 +56,7 @@ __all__ = [
 MANIFEST_NAME = "manifest.json"
 
 #: Bundle layout version, shared by every kind; bump on layout changes.
-SCHEMA = 2
+SCHEMA = 3
 
 _RESERVED = ("schema", "kind", "generation", "files")
 

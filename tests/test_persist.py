@@ -2,11 +2,12 @@
 
 Every persisted artifact — sharded claim columns, the score store riding
 on them, the truth map, model artifacts and frozen feature tables — goes
-through :mod:`repro.utils.persist`.  These tests hold all five kinds to
-the same contract on small synthetic inputs:
+through :mod:`repro.utils.persist`.  These tests hold all five kinds (the
+score store in both its single-shard and its default per-state layout)
+to the same contract on small synthetic inputs:
 
-* a damaged bundle is refused: foreign kind, future schema, dtype drift
-  and a missing file on load, a flipped byte on ``verify``;
+* a damaged bundle is refused: foreign kind, future or previous schema,
+  dtype drift and a missing file on load, a flipped byte on ``verify``;
 * a writer killed after any ``np.save``, ``os.fsync`` or ``os.replace``
   step leaves the previously committed bundle readable bitwise (or no
   bundle at all on a fresh root), never a mix of two saves;
@@ -126,6 +127,12 @@ KINDS = {
         lambda obj, root: obj.save_sharded(root, shards=1),
         ClaimScoreStore.load_sharded,
     ),
+    # The default per-state layout: what a release publishes.
+    "store_per_state": Kind(
+        _store,
+        lambda obj, root: obj.save_sharded(root),
+        ClaimScoreStore.load_sharded,
+    ),
     "truthmap": Kind(_truthmap, lambda obj, root: obj.save(root), TruthMap.load),
     "model": Kind(
         _model,
@@ -167,14 +174,23 @@ def _foreign_kind(kind, root):
     _saved("model" if kind == "truthmap" else "truthmap", 0, root)
 
 
-def _future_schema(kind, root):
+def _schema_shifted(kind, root, by):
     _saved(kind, 0, root)
     path = os.path.join(root, persist.MANIFEST_NAME)
     with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    manifest["schema"] = persist.SCHEMA + 1
+    manifest["schema"] = persist.SCHEMA + by
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh)
+
+
+def _future_schema(kind, root):
+    _schema_shifted(kind, root, +1)
+
+
+def _old_schema(kind, root):
+    """A bundle from the previous layout is refused, never misread."""
+    _schema_shifted(kind, root, -1)
 
 
 def _dtype_drift(kind, root):
@@ -206,6 +222,7 @@ _MISSING = (FileNotFoundError, None)
 DAMAGE = {
     "foreign_kind": (_foreign_kind, (ValueError, "kind"), None),
     "future_schema": (_future_schema, (ValueError, "schema"), (ValueError, "schema")),
+    "old_schema": (_old_schema, (ValueError, "schema"), (ValueError, "schema")),
     "dtype_drift": (_dtype_drift, (ValueError, "dtype"), (ValueError, "hash")),
     "flipped_byte": (_flipped_byte, "not asked", (ValueError, "hash")),
     "missing_file": (_missing_file, _MISSING, _MISSING),

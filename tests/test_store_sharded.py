@@ -95,25 +95,20 @@ def test_positions_equivalence_hits_and_misses(seed, layout):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_persisted_index_survives_round_trip(tmp_path_factory, seed):
-    """Loaded shards answer lookups from the *persisted* index state."""
+    """A loaded bundle answers lookups from the *persisted* index state."""
     claims = make_random_claims(seed, n=400)
     root = str(tmp_path_factory.mktemp("bundle"))
     sharded = ShardedClaimColumns.from_claims(claims, shards=3)
-    for name in sharded.shard_names:
-        sharded.shard(name).index  # force the index so save() persists it
     sharded.save(root)
     back = ShardedClaimColumns.load(root)
+    # from_state() populated the lazy slot at load time.
+    assert object.__getattribute__(back.to_claims(), "_index") is not None
     for name in back.shard_names:
-        shard = back.shard(name)
-        # from_state() populated the lazy slot at load time.
-        assert object.__getattribute__(shard, "_index") is not None
         live = sharded.shard(name)
-        if not len(shard):
-            continue
-        pos = shard.positions(
+        pos = back.positions(
             live.provider_id[:10], live.cell[:10], live.technology[:10]
         )
-        assert np.array_equal(pos, np.arange(min(10, len(shard))))
+        assert np.array_equal(pos, sharded.global_rows(name)[:10])
 
 
 @settings(max_examples=15, deadline=None)
@@ -208,23 +203,19 @@ def test_partial_state_map_is_rejected():
 def test_extra_arrays_round_trip_and_cannot_shadow(tmp_path):
     claims = make_random_claims(16, n=300)
     sharded = ShardedClaimColumns.from_claims(claims, shards=2)
-    extras = {
-        name: {"margin": np.arange(len(sharded.shard(name)), dtype=np.float64)}
-        for name in sharded.shard_names
-    }
+    extras = {"margin": np.arange(len(claims), dtype=np.float64)}
     root = str(tmp_path / "bundle")
-    sharded.save(root, extra_shard_arrays=extras, extra_manifest={"store": {"k": 1}})
+    sharded.save(root, extra_arrays=extras, extra_manifest={"store": {"k": 1}})
     manifest = persist.read_manifest(root)
     assert manifest["store"] == {"k": 1}
     back = ShardedClaimColumns.load(root)
-    for name in back.shard_names:
-        assert np.array_equal(
-            back.extra_arrays[name]["margin"], extras[name]["margin"]
-        )
-    with pytest.raises(ValueError, match="shadows"):
-        sharded.save(
-            root, extra_shard_arrays={sharded.shard_names[0]: {"cell": np.zeros(1)}}
-        )
+    assert back.extra_arrays.keys() == {"margin"}
+    assert np.array_equal(back.extra_arrays["margin"], extras["margin"])
+    for key in ("cell", "shard_rows", "index/pos_by_code"):
+        with pytest.raises(ValueError, match="shadows"):
+            sharded.save(root, extra_arrays={key: np.zeros(len(claims))})
+    with pytest.raises(ValueError, match="one entry per row"):
+        sharded.save(root, extra_arrays={"margin": np.zeros(len(claims) - 1)})
 
 
 # -- tiny-world equivalence ----------------------------------------------------
