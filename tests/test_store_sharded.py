@@ -192,6 +192,22 @@ def test_empty_table_round_trips(tmp_path):
     ).tolist() == [-1]
 
 
+def test_inconsistent_partition_is_refused(tmp_path):
+    """Offsets that do not delimit the shards over the table's rows are
+    refused at load, not served as a wrong partition."""
+    claims = make_random_claims(17, n=200)
+    root = str(tmp_path / "bundle")
+    ShardedClaimColumns.from_claims(claims, shards=3).save(root)
+    path = os.path.join(
+        root, persist.read_manifest(root)["files"]["shard_offsets"]["path"]
+    )
+    offsets = np.load(path)
+    offsets[-1] -= 1  # same dtype and shape, so only the partition is off
+    np.save(path, offsets)
+    with pytest.raises(ValueError, match="do not delimit"):
+        ShardedClaimColumns.load(root)
+
+
 def test_partial_state_map_is_rejected():
     claims = make_random_claims(15, n=50)
     with pytest.raises(ValueError, match="every state"):
