@@ -10,11 +10,12 @@ few-valued or continuous with NaN holes), where most features have two
 bins and the compact histogram layout matters most.
 
 Each size also times the binned inference path
-(``predict_margin(codes, binned=True)`` on pre-binned uint8 codes — the
-steady state for tuning loops and repeated batch scoring) against the
-float path, asserts its margins are bitwise identical, and reports the
-one-time ``HistogramBinner.transform`` cost separately so the cold
-(bin-then-score) trade-off stays visible.
+(``predict_margin(codes, binned=True)`` on pre-binned uint8 codes, mapped
+onto the ensemble's own threshold codes — the steady state for tuning
+loops) against the float path, asserts its margins and those of float
+rows coded straight against the split thresholds are bitwise identical,
+and reports the one-time ``HistogramBinner.transform`` cost separately
+(only training and tuning still bin).
 
 Run standalone::
 
@@ -106,6 +107,10 @@ def run(quick: bool = False) -> list[dict]:
         )
         if not np.array_equal(m_new, m_binned):
             raise AssertionError(f"{name}: binned margins diverged from float path")
+        if not np.array_equal(m_new, model.predict_margin(X, binned=True)):
+            raise AssertionError(
+                f"{name}: threshold-coded float rows diverged from float path"
+            )
         row = {
             "size": name,
             "n_rows": n,

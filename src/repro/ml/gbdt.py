@@ -30,11 +30,15 @@ Call                                           Effect
                                                skips the transform entirely
 ``predict_margin(X)``                          float frontier traversal
                                                (bitwise = seed)
-``predict_margin(X, binned=True)``             uint8 traversal with per-depth
-                                               active-set compaction; accepts
-                                               float rows (transformed by the
-                                               fit binner) or pre-binned codes;
-                                               bitwise = the float path
+``predict_margin(X, binned=True)``             uint8 traversal of the
+                                               ensemble's own split table with
+                                               per-depth active-set
+                                               compaction; accepts float rows
+                                               (coded against the node
+                                               thresholds) or pre-binned codes
+                                               (mapped through the fit
+                                               binner); bitwise = the float
+                                               path
 =============================================  ================================
 """
 
@@ -408,10 +412,11 @@ class GradientBoostedClassifier:
         Evaluated through the flat ensemble: one batched (rows x trees)
         frontier traversal instead of a Python loop over trees, with
         bitwise-identical output.  ``binned=True`` routes through the
-        uint8 binned path instead (see :mod:`repro.ml.tree`): ``X`` may
-        be float rows (quantized by the binner fitted during training) or
-        pre-binned uint8 codes from that binner's ``transform`` — the
-        margins are bitwise identical to the float path either way.
+        uint8 threshold-code path instead (see :mod:`repro.ml.tree`):
+        ``X`` may be float rows (coded against the ensemble's split
+        thresholds, no binning) or pre-binned uint8 codes from the
+        training binner's ``transform`` — the margins are bitwise
+        identical to the float path either way.
         """
         state = self._require_fitted()
         X = np.asarray(X) if binned else np.asarray(X, dtype=np.float64)
@@ -421,7 +426,10 @@ class GradientBoostedClassifier:
             )
         if binned:
             return self.flat_ensemble.predict_margin(
-                X, base_margin=state.base_margin, binned=True, binner=state.binner
+                X,
+                base_margin=state.base_margin,
+                binned=True,
+                binner=state.binner if X.dtype == np.uint8 else None,
             )
         return self.flat_ensemble.predict_margin(X, base_margin=state.base_margin)
 

@@ -20,9 +20,10 @@ Surface                   Role
 :func:`grow_tree`         one tree from binned data + gradients/hessians
 :class:`RegressionTree`   flat per-tree arrays; reference predict paths
 :class:`FlatEnsemble`     all trees concatenated; batched float traversal,
-                          binned traversal (:meth:`~FlatEnsemble.bind_binner`
-                          + ``predict_margin(..., binned=True)``), TreeSHAP
-                          substrate, expectations, gains
+                          threshold-space traversal (``threshold_codes`` +
+                          ``predict_margin(..., binned=True)``; pre-binned
+                          codes via ``bind_binner``), TreeSHAP substrate,
+                          expectations, gains
 ========================  ====================================================
 
 Kernel design (the NumPy hot path)
@@ -65,7 +66,10 @@ the few wide continuous ones, by a padding-vs-call-overhead cost model).
 Each group gathers its bins into a padded ``(F_g, W)`` block (padding
 reads an always-empty position) and evaluates every (feature,
 missing-direction, bin) candidate as one ``(F_g, 2, W-1)`` tensor with
-a flat ``argmax``.
+a flat ``argmax``.  When every missing bin of a group is exactly empty
+in the node (count, gradient and hessian all zero), the missing-goes-left
+candidates equal the missing-goes-right ones element for element, so
+the group searches one ``(F_g, 1, W-1)`` direction instead.
 C-order flattening gives each group the seed's first-maximum order
 (feature, then missing-goes-right before missing-goes-left, then lowest
 bin), and across groups an exact gain tie goes to the lower feature
@@ -78,28 +82,32 @@ a frontier traversal: ``max_depth`` vectorized gather/where steps replace
 the per-tree Python loop.  TreeSHAP (:mod:`repro.ml.shap`) walks the same
 flat arrays.
 
-**Binned batch inference.**  The float frontier traversal is
+**Threshold-space batch inference.**  The float frontier traversal is
 gather-bound: every level gathers six node arrays plus a float64 feature
-column for *all* (row, tree) pairs, finished or not.
-:meth:`FlatEnsemble.bind_binner` pre-quantizes every split threshold
-against a fitted :class:`HistogramBinner` (validating that each
-threshold is exactly one of the binner's cut values, so routing cannot
-drift) and compiles each node into one packed int64 *route word*
-(comparison bound, code-matrix column, right-child offset — see the
-method docstring).  ``predict_margin(X, binned=True, binner=...)`` then
-traverses uint8 bin codes with **two** gathers per level (route word +
-code), missing-value handling folded into the column choice via a
-pre-incremented copy of the code matrix, leaves self-looping as all-zero
-words, and per-depth active-set compaction once enough (row, tree) pairs
-have finished.  Because ``x <= threshold`` is exactly equivalent to
-``code(x) <= threshold_bin`` when the threshold is one of the binner's
-cuts (and both paths send non-finite values to the node's default
-direction), the binned margin is bitwise identical to the float path —
-asserted by the equivalence tests and re-checked by the perf benchmark
-on every run.  The payoff is in the steady state where codes are already
-in hand — scoring pre-binned tuning/validation matrices, or re-scoring
-one binned batch many times; binning a fresh float batch first costs
-about as much as one float traversal.
+column for *all* (row, tree) pairs, finished or not.  A fitted ensemble
+reads only the features its nodes split on, at only the thresholds they
+use, so each :class:`FlatEnsemble` compiles once into its own split
+table (:class:`_SplitTable`): per used feature, the sorted distinct node
+thresholds, and per node one packed int64 *route word* (comparison
+bound, code-matrix column, right-child offset).  A row is reduced to one
+uint8 *threshold code* per used feature — the count of that feature's
+thresholds strictly below the value, :data:`MISSING_BIN` for non-finite
+values (:meth:`FlatEnsemble.threshold_codes`) — and
+``predict_margin(X, binned=True)`` traverses those codes with **two**
+gathers per level (route word + code), missing-value handling folded
+into the column choice via a pre-incremented copy of the code matrix,
+leaves self-looping as all-zero words, and per-depth active-set
+compaction once enough (row, tree) pairs have finished.  Because
+``x <= t_k`` is exactly equivalent to ``code(x) <= k`` (and both paths
+send non-finite values to the node's default direction), the margin is
+bitwise identical to the float path — asserted by the equivalence and
+property tests and re-checked by the perf benchmark on every run.
+Pre-binned uint8 rows from the training binner walk the same table:
+:meth:`~FlatEnsemble.bind_binner` checks that every threshold is one of
+the binner's cuts and maps each binner code to its threshold code with
+one lookup table per used feature.  The claim-score store
+(:func:`repro.serve.store.score_claim_blocks`) codes every claim this
+way, walks only the distinct code rows, and never bins a claim.
 """
 
 from __future__ import annotations
@@ -142,6 +150,11 @@ _TRAVERSAL_BLOCK_ELEMENTS = 1 << 16
 #: rows (~0.5 MB at 128 features) stays L2-resident across all cut
 #: passes.
 _BINNING_BLOCK_ROWS = 512
+
+#: Widest threshold list coded by one broadcast comparison per
+#: threshold; wider lists use ``searchsorted``, whose O(log) scan wins
+#: once the comparisons outnumber the branch misses it costs.
+_COMPARE_THRESHOLDS_MAX = 12
 
 #: Compact the binned-traversal frontier when the live fraction of
 #: (row, tree) pairs drops below this (compaction costs a few selects,
@@ -422,12 +435,11 @@ class FlatEnsemble:
     gain: np.ndarray
     roots: np.ndarray
     offsets: np.ndarray
-    #: Binner bound by :meth:`bind_binner` (packed route words, feature
-    #: count, and traversal depth bound).
+    #: Split table compiled on first binned use, and the binner bound by
+    #: :meth:`bind_binner` with its binner-code -> threshold-code tables.
+    _table: "_SplitTable | None" = None
     _bound_binner: "HistogramBinner | None" = None
-    _route: np.ndarray | None = None
-    _route_n_features: int = 0
-    _max_depth: int = 0
+    _bin_lut: np.ndarray | None = None
 
     @classmethod
     def from_trees(cls, trees: list[RegressionTree]) -> "FlatEnsemble":
@@ -608,111 +620,119 @@ class FlatEnsemble:
 
     # -- binned inference ---------------------------------------------------
 
+    def _split_table(self) -> "_SplitTable":
+        """The ensemble's compiled split table (built on first use)."""
+        if self._table is None:
+            self._table = _SplitTable(self)
+        return self._table
+
+    @property
+    def split_features(self) -> np.ndarray:
+        """Ascending ids of the features some node splits on.
+
+        Column ``j`` of :meth:`threshold_codes` holds feature
+        ``split_features[j]``.
+        """
+        return self._split_table().features
+
+    def threshold_codes(self, X: np.ndarray) -> np.ndarray:
+        """``(n, len(split_features))`` uint8 threshold codes of float rows.
+
+        The code of ``x`` for a used feature is the count of that
+        feature's distinct node thresholds strictly below ``x``
+        (``searchsorted`` ``left``); non-finite values map to
+        :data:`MISSING_BIN`, as the float path sends them to the default
+        direction.  Features no node splits on are never read.
+        """
+        table = self._split_table()
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError("X must be 2-D")
+        if table.features.size and X.shape[1] <= table.features[-1]:
+            raise ValueError(
+                f"X has {X.shape[1]} columns but the ensemble splits on "
+                f"feature {int(table.features[-1])}"
+            )
+        # Feature-major: each used column is one contiguous row, so the
+        # per-threshold comparisons stream through it.
+        cols = np.ascontiguousarray(X[:, table.features].T)
+        out = np.zeros(cols.shape, dtype=np.uint8)
+        for code, col, thresholds in zip(out, cols, table.thresholds):
+            if thresholds.size > _COMPARE_THRESHOLDS_MAX:
+                code[:] = np.searchsorted(thresholds, col, side="left")
+                continue
+            for t in thresholds:
+                code += t < col
+        out[~np.isfinite(cols)] = MISSING_BIN
+        return out.T
+
     def bind_binner(self, binner: "HistogramBinner") -> None:
-        """Pre-quantize split thresholds against a fitted binner.
+        """Map a fitted binner's uint8 codes onto the threshold codes.
 
-        For every internal node with split feature ``f`` and threshold
-        ``t``, finds the bin index ``k`` with ``cuts_f[k] == t``, so that
-        ``x <= t``  ⇔  ``code(x) <= k`` for the binner's uint8 codes —
-        an exact equivalence, not an approximation.  Raises ``ValueError``
-        when a threshold is not one of the binner's cut values (i.e. the
-        ensemble was not trained against this binner), because routing
-        through a mismatched binner could silently diverge.
-
-        The quantized splits are compiled into one packed int64 *route
-        word* per node, so the traversal gathers a single array:
-
-        ==========  ===========================================================
-        Bits        Field
-        ==========  ===========================================================
-        0..8        strict comparison bound ``q2`` (``go left ⇔ code' < q2``)
-        9..25       column in the doubled code matrix — ``f`` for
-                    missing-goes-right nodes, ``f + d`` (the pre-incremented
-                    copy, uint8 wraparound sending :data:`MISSING_BIN` to 0)
-                    for missing-goes-left nodes
-        26..62      offset from the node to its right child
-        ==========  ===========================================================
-
-        Leaves are the all-zero word: their comparison ``code' < 0`` is
-        always false and their right-child offset is 0, so finished
-        (row, tree) pairs self-loop with no masking.  (The zero word is
-        unambiguous — an internal node's right child is at least two
-        nodes away, so its route word is nonzero.)
+        Checks that every split threshold ``t`` of feature ``f`` is one
+        of the binner's cut values ``cuts_f[k]`` — raising ``ValueError``
+        otherwise (the ensemble was not trained against this binner, and
+        routing its codes could silently diverge) — then builds one
+        256-entry lookup table per used feature: binner code ``b`` means
+        ``cuts_f[b-1] < x <= cuts_f[b]``, so threshold ``cuts_f[k]`` lies
+        strictly below ``x`` exactly when ``k < b``, and the threshold
+        code of ``b`` is the count of the feature's threshold cut
+        indices below ``b`` (:data:`MISSING_BIN` maps to itself).
+        Pre-binned rows then walk the same split table (and route words,
+        see :class:`_SplitTable`) as float rows.
         """
         if binner.split_values_ is None:
             raise RuntimeError("binner is not fitted")
+        table = self._split_table()
         d = len(binner.split_values_)
-        if d > (1 << 16):
-            raise ValueError(f"binned routing supports at most 65536 features, got {d}")
-        internal = self.children_left >= 0
-        features = self.feature[internal]
-        thresholds = self.threshold[internal]
-        quantized = np.full(features.size, -1, dtype=np.int64)
-        for f in np.unique(features):
+        if table.features.size and table.features[-1] >= d:
+            raise ValueError(
+                f"the ensemble splits on feature {int(table.features[-1])} but "
+                f"the binner has {d}; bind the binner the ensemble was trained with"
+            )
+        lut = np.empty((table.features.size, MISSING_BIN + 1), dtype=np.uint8)
+        all_codes = np.arange(MISSING_BIN + 1)
+        for j, (f, thresholds) in enumerate(zip(table.features, table.thresholds)):
             cuts = binner.split_values_[int(f)]
-            sel = features == f
-            t = thresholds[sel]
             if cuts.size == 0:
                 raise ValueError(
                     f"feature {int(f)} has splits but the binner has no cuts "
                     "for it; bind the binner the ensemble was trained with"
                 )
-            k = np.searchsorted(cuts, t, side="left")
-            bad = (k >= cuts.size) | (cuts[np.minimum(k, cuts.size - 1)] != t)
+            k = np.searchsorted(cuts, thresholds, side="left")
+            bad = (k >= cuts.size) | (cuts[np.minimum(k, cuts.size - 1)] != thresholds)
             if bad.any():
                 raise ValueError(
                     f"feature {int(f)}: {int(bad.sum())} split threshold(s) "
                     "are not cut values of this binner; bind the binner the "
                     "ensemble was trained with"
                 )
-            quantized[sel] = k
-
-        nodes = np.where(internal)[0]
-        default_left = self.default_left[internal]
-        # go_left ⇔ code + shift < qthr + shift + 2·0 + 1 with the shift
-        # realized by column choice (see docstring); strict '<' keeps the
-        # leaf word all-zero.
-        q2 = quantized + 1 + default_left
-        column = features.astype(np.int64) + default_left * d
-        rdelta = self.children_right[internal].astype(np.int64) - nodes
-        route = np.zeros(self.n_nodes, dtype=np.int64)
-        route[internal] = q2 | (column << 9) | (rdelta << 26)
-
-        # Deepest root-to-node path bounds the fixed-depth traversal loop.
-        depth = 0
-        frontier = self.roots[self.children_left[self.roots] >= 0]
-        while frontier.size:
-            depth += 1
-            children = np.concatenate(
-                [self.children_left[frontier], self.children_right[frontier]]
-            )
-            frontier = children[self.children_left[children] >= 0]
-
+            lut[j] = np.searchsorted(k, all_codes, side="left")
+        lut[:, MISSING_BIN] = MISSING_BIN
         self._bound_binner = binner
-        self._route = route
-        self._route_n_features = d
-        self._max_depth = depth
+        self._bin_lut = lut
 
     def _leaves_block_binned(self, Xb2: np.ndarray) -> np.ndarray:
-        """Leaf ids for one block of doubled pre-binned rows (packed walk).
+        """Leaf ids for one block of doubled threshold-code rows.
 
-        ``Xb2`` is a row block of the doubled code matrix (original codes
-        beside the pre-incremented copy).  Per level: one route-word
-        gather, one uint8 code gather, one comparison, one child-step
-        add.  When the live fraction of (row, tree) pairs drops below
-        :data:`_COMPACTION_THRESHOLD`, the frontier is compacted so
-        deeper levels only touch still-routing pairs.
+        ``Xb2`` is a row block of the doubled code matrix (threshold
+        codes beside the pre-incremented copy).  Per level: one
+        route-word gather, one uint8 code gather, one comparison, one
+        child-step add.  When the live fraction of (row, tree) pairs
+        drops below :data:`_COMPACTION_THRESHOLD`, the frontier is
+        compacted so deeper levels only touch still-routing pairs.
         """
         m = Xb2.shape[0]
         T = self.n_trees
         d2 = Xb2.shape[1]
         codes = Xb2.reshape(-1)
-        route = self._route
+        table = self._split_table()
+        route = table.route
         out = np.empty(m * T, dtype=np.int64)
         pos = None  # frontier is dense until first compaction
         cur = np.tile(self.roots, m)
         base = np.repeat(np.arange(m, dtype=np.int64) * d2, T)
-        for _ in range(self._max_depth):
+        for _ in range(table.max_depth):
             w = route[cur]
             live = w != 0
             n_live = int(np.count_nonzero(live))
@@ -737,34 +757,52 @@ class FlatEnsemble:
         out[pos] = cur
         return out.reshape(m, T)
 
+    def _leaves_codes(self, codes: np.ndarray) -> np.ndarray:
+        """(n, n_trees) global leaf ids for a threshold-code matrix."""
+        n = codes.shape[0]
+        if self.n_trees == 0:
+            return np.empty((n, 0), dtype=np.int64)
+        # Doubled code matrix: columns n_used.. hold codes + 1 (uint8
+        # wrap), the missing-goes-left view (MISSING_BIN wraps to 0 =
+        # "below every threshold").
+        Xb2 = np.concatenate([codes, codes + np.uint8(1)], axis=1)
+        out = np.empty((n, self.n_trees), dtype=np.int64)
+        step = max(1, _TRAVERSAL_BLOCK_ELEMENTS // self.n_trees)
+        for start in range(0, n, step):
+            out[start : start + step] = self._leaves_block_binned(
+                Xb2[start : start + step]
+            )
+        return out
+
     def predict_leaves_binned(self, Xb: np.ndarray) -> np.ndarray:
         """(n, n_trees) global leaf ids for pre-binned uint8 rows.
 
         Requires :meth:`bind_binner` first; ``Xb`` must be codes produced
         by the bound binner's :meth:`HistogramBinner.transform`.
         """
-        if self._route is None:
+        if self._bin_lut is None:
             raise RuntimeError("no binner bound; call bind_binner() first")
         Xb = np.asarray(Xb)
         if Xb.dtype != np.uint8 or Xb.ndim != 2:
             raise ValueError("Xb must be a 2-D uint8 bin-code matrix")
-        if Xb.shape[1] != self._route_n_features:
+        d = len(self._bound_binner.split_values_)
+        if Xb.shape[1] != d:
+            raise ValueError(f"Xb must have {d} columns, got {Xb.shape[1]}")
+        features = self._split_table().features
+        codes = self._bin_lut[np.arange(features.size), Xb[:, features]]
+        return self._leaves_codes(codes)
+
+    def predict_margin_codes(
+        self, codes: np.ndarray, base_margin: float = 0.0
+    ) -> np.ndarray:
+        """Additive score per row of a :meth:`threshold_codes` matrix."""
+        codes = np.asarray(codes)
+        if codes.dtype != np.uint8 or codes.shape[1:] != self.split_features.shape:
             raise ValueError(
-                f"Xb must have {self._route_n_features} columns, got {Xb.shape[1]}"
+                f"codes must be (n, {self.split_features.size}) uint8 "
+                f"threshold codes, got {codes.dtype} {codes.shape}"
             )
-        n = Xb.shape[0]
-        if self.n_trees == 0:
-            return np.empty((n, 0), dtype=np.int64)
-        # Doubled code matrix: columns d.. hold codes + 1 (uint8 wrap), the
-        # missing-goes-left view (MISSING_BIN wraps to 0 = "below any cut").
-        Xb2 = np.concatenate([Xb, Xb + np.uint8(1)], axis=1)
-        out = np.empty((n, self.n_trees), dtype=np.int64)
-        step = max(1, _TRAVERSAL_BLOCK_ELEMENTS // max(self.n_trees, 1))
-        for start in range(0, n, step):
-            out[start : start + step] = self._leaves_block_binned(
-                Xb2[start : start + step]
-            )
-        return out
+        return self._sum_leaves(self._leaves_codes(codes), base_margin)
 
     def predict_margin(
         self,
@@ -776,30 +814,29 @@ class FlatEnsemble:
     ) -> np.ndarray:
         """Additive ensemble score per row via one batched traversal.
 
-        With ``binned=True`` the rows are routed through the binned path
-        (see the module docstring): ``binner`` (or one previously bound
-        with :meth:`bind_binner`) quantizes ``X`` to uint8 codes — or
-        pass ``X`` already binned as uint8 codes to skip the transform.
-        Both paths accumulate leaf values tree-by-tree (vectorized over
-        rows), so results are bitwise identical to each other and to
-        summing per-tree predictions in ensemble order.
+        With ``binned=True`` the rows walk the ensemble's split table
+        (see the module docstring): float ``X`` is coded against the
+        node thresholds directly (:meth:`threshold_codes`), and uint8
+        ``X`` — codes from the training binner's ``transform`` — goes
+        through the lookup tables of ``binner`` (or one previously bound
+        with :meth:`bind_binner`).  Both paths accumulate leaf values
+        tree-by-tree (vectorized over rows), so results are bitwise
+        identical to each other and to summing per-tree predictions in
+        ensemble order.
         """
-        if binned:
-            if binner is not None and binner is not self._bound_binner:
-                self.bind_binner(binner)
-            X = np.asarray(X)
-            if X.dtype == np.uint8:
-                leaves = self.predict_leaves_binned(X)
-            else:
-                if self._bound_binner is None:
-                    raise RuntimeError(
-                        "binned=True requires a binner (argument or bind_binner)"
-                    )
-                leaves = self.predict_leaves_binned(
-                    self._bound_binner.transform(np.asarray(X, dtype=np.float64))
-                )
-        else:
-            leaves = self.predict_leaves(X)
+        if not binned:
+            return self._sum_leaves(self.predict_leaves(X), base_margin)
+        if binner is not None and binner is not self._bound_binner:
+            self.bind_binner(binner)
+        X = np.asarray(X)
+        if X.dtype == np.uint8:
+            return self._sum_leaves(self.predict_leaves_binned(X), base_margin)
+        return self._sum_leaves(
+            self._leaves_codes(self.threshold_codes(X)), base_margin
+        )
+
+    def _sum_leaves(self, leaves: np.ndarray, base_margin: float) -> np.ndarray:
+        """``base_margin`` plus each row's leaf values, in ensemble order."""
         margin = np.full(leaves.shape[0], float(base_margin))
         for t in range(self.n_trees):
             margin += self.values[leaves[:, t]]
@@ -835,6 +872,80 @@ class FlatEnsemble:
                 else:
                     E[i] = (cover[l] * E[l] + cover[r] * E[r]) / c
         return E[self.roots]
+
+
+class _SplitTable:
+    """An ensemble compiled into its own split space.
+
+    ``features`` holds the ids of the features some node splits on
+    (ascending) and ``thresholds[j]`` the sorted distinct thresholds of
+    ``features[j]``; a node splitting feature ``features[j]`` at
+    ``thresholds[j][k]`` sends ``x`` left exactly when its threshold code
+    (:meth:`FlatEnsemble.threshold_codes`) is at most ``k``.  Each node
+    compiles into one packed int64 *route word*:
+
+    ==========  ===========================================================
+    Bits        Field
+    ==========  ===========================================================
+    0..8        strict comparison bound ``k + 1 + default_left``
+                (``go left ⇔ code' < bound``)
+    9..25       column in the doubled code matrix — ``j`` for
+                missing-goes-right nodes, ``j + n_used`` (the
+                pre-incremented copy, uint8 wraparound sending
+                :data:`MISSING_BIN` to 0) for missing-goes-left nodes
+    26..62      offset from the node to its right child
+    ==========  ===========================================================
+
+    Leaves are the all-zero word: their comparison ``code' < 0`` is
+    always false and their right-child offset is 0, so finished
+    (row, tree) pairs self-loop with no masking.  (The zero word is
+    unambiguous — an internal node's right child is at least two nodes
+    away, so its route word is nonzero.)  ``max_depth`` is the deepest
+    root-to-leaf path, which bounds the walk.
+    """
+
+    __slots__ = ("features", "thresholds", "route", "max_depth")
+
+    def __init__(self, ens: "FlatEnsemble"):
+        nodes = np.flatnonzero(ens.children_left >= 0)
+        node_thresholds = ens.threshold[nodes]
+        if np.isnan(node_thresholds).any():
+            raise ValueError("malformed ensemble: an internal node has a NaN threshold")
+        self.features, slot = np.unique(ens.feature[nodes], return_inverse=True)
+        slot = slot.reshape(-1).astype(np.int64)
+        n_used = self.features.size
+        if n_used > (1 << 16):
+            raise ValueError(
+                f"threshold routing supports at most 65536 split features, got {n_used}"
+            )
+        self.thresholds = []
+        index = np.empty(nodes.size, dtype=np.int64)
+        for j in range(n_used):
+            sel = slot == j
+            thresholds = np.unique(node_thresholds[sel])
+            if thresholds.size > MISSING_BIN - 1:
+                raise ValueError(
+                    f"feature {int(self.features[j])} has {thresholds.size} "
+                    f"distinct split thresholds; at most {MISSING_BIN - 1} "
+                    "fit a uint8 threshold code"
+                )
+            index[sel] = np.searchsorted(thresholds, node_thresholds[sel])
+            self.thresholds.append(thresholds)
+        default_left = ens.default_left[nodes].astype(np.int64)
+        bound = index + 1 + default_left
+        column = slot + default_left * n_used
+        rdelta = ens.children_right[nodes] - nodes
+        self.route = np.zeros(ens.n_nodes, dtype=np.int64)
+        self.route[nodes] = bound | (column << 9) | (rdelta << 26)
+
+        depth = 0
+        left, right = ens.children_left, ens.children_right
+        frontier = ens.roots[left[ens.roots] >= 0]
+        while frontier.size:
+            depth += 1
+            children = np.concatenate([left[frontier], right[frontier]])
+            frontier = children[left[children] >= 0]
+        self.max_depth = depth
 
 
 def _leaf_weight(g: float, h: float, params: TreeGrowthParams) -> float:
@@ -1234,17 +1345,24 @@ class _TreeBuilder:
             h_miss = h_hist[grp.missing]
             n_miss = n_hist[grp.missing]
             # Axis 1 is the missing-value direction: 0 = missing right
-            # (the seed's first pass), 1 = missing left.
-            shape = (cg.shape[0], 2, cg.shape[1])
+            # (the seed's first pass), 1 = missing left.  When every
+            # missing bin of the group is exactly empty, direction 1
+            # equals direction 0 element for element and the first-maximum
+            # argmax never picks it, so only direction 0 is searched.  A
+            # derived histogram can hold n == 0 beside a g/h residue, so
+            # all three are tested.
+            has_missing = n_miss.any() or g_miss.any() or h_miss.any()
+            shape = (cg.shape[0], 2 if has_missing else 1, cg.shape[1])
             gl = np.empty(shape)
             hl = np.empty(shape)
             nl = np.empty(shape, dtype=np.int64)
             gl[:, 0, :] = cg + 0.0
-            gl[:, 1, :] = cg + g_miss[:, None]
             hl[:, 0, :] = ch + 0.0
-            hl[:, 1, :] = ch + h_miss[:, None]
             nl[:, 0, :] = cn
-            nl[:, 1, :] = cn + n_miss[:, None]
+            if has_missing:
+                gl[:, 1, :] = cg + g_miss[:, None]
+                hl[:, 1, :] = ch + h_miss[:, None]
+                nl[:, 1, :] = cn + n_miss[:, None]
             gr = g_sum - gl
             hr = h_sum - hl
             nr = idx.size - nl

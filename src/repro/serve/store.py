@@ -3,8 +3,8 @@
 The NBM's unit of consumption is the distinct (provider, cell,
 technology) claim, and the set of claims only changes at filing
 deadlines — so the serving layer scores **every** claim once, up front,
-through the binned inference path, and answers queries from frozen
-parallel arrays:
+in the ensemble's threshold space (each distinct code row walked once),
+and answers queries from frozen parallel arrays:
 
 ========================  ===================================================
 Array                     Contents
@@ -70,17 +70,23 @@ def score_claim_blocks(
 
     The single scoring kernel behind both :meth:`ClaimScoreStore.build`
     (monolithic, in-process) and the shard-parallel workers of
-    :mod:`repro.store.parallel`.  Every row is vectorized and scored
-    independently of its block, so any partition of the rows — blocks,
-    shards, processes — produces bitwise-identical margins; the sharded
+    :mod:`repro.store.parallel`.  Each block is vectorized and reduced
+    to its threshold codes (:meth:`FlatEnsemble.threshold_codes`: one
+    uint8 per feature the ensemble splits on), written into one
+    ``(n, n_used)`` code matrix.  Claims that share a code row share a
+    margin, so the duplicate rows are removed once, only the distinct
+    rows walk the trees, and their margins are scattered back through
+    the inverse index.  ``binned=False`` scores each block through the
+    float traversal instead.  Every row's margin depends on its own
+    features only, so any partition of the rows — blocks, shards,
+    processes — produces bitwise-identical margins; the sharded
     equivalence suite pins that contract.
     """
-    binner = classifier.binner
     ensemble = classifier.flat_ensemble
-    if binned:
-        ensemble.bind_binner(binner)
     n = len(claims)
     margin = np.empty(n)
+    if binned:
+        codes = np.empty((n, ensemble.split_features.size), dtype=np.uint8)
     states = _STATE_ABBRS[claims.state_idx]
     step = max(1, int(block_rows))
     for start in range(0, n, step):
@@ -94,14 +100,25 @@ def score_claim_blocks(
         )
         X = builder.vectorize_columns(cols)
         if binned:
-            margin[start:stop] = ensemble.predict_margin(
-                binner.transform(X),
-                base_margin=classifier.base_margin,
-                binned=True,
-            )
+            codes[start:stop] = ensemble.threshold_codes(X)
         else:
             margin[start:stop] = classifier.predict_margin(X)
+    if binned:
+        distinct, inverse = _unique_rows(codes)
+        margin[:] = ensemble.predict_margin_codes(
+            distinct, base_margin=classifier.base_margin
+        )[inverse]
     return margin
+
+
+def _unique_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a uint8 matrix and each row's index among them."""
+    n, width = codes.shape
+    if n == 0 or width == 0:
+        return codes[:1], np.zeros(n, dtype=np.int64)
+    rows = np.ascontiguousarray(codes).view(np.dtype((np.void, width))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return codes[first], inverse.reshape(-1)
 
 
 class ClaimScoreStore:
@@ -222,10 +239,11 @@ class ClaimScoreStore:
         Claims default to the builder's own claim store (every claim in
         the filing table).  Rows are vectorized straight from the claim
         arrays (:meth:`FeatureBuilder.vectorize_columns` — no per-claim
-        ``Observation`` objects) and scored through the binned route-word
-        path (:meth:`FlatEnsemble.bind_binner` +
-        ``predict_margin(binned=True)``), block by block so peak memory
-        stays bounded at NBM scale.  ``binned=False`` scores the same
+        ``Observation`` objects), block by block so the float matrix
+        stays bounded at NBM scale, and reduced to the ensemble's
+        threshold codes (one byte per feature the trees split on; no
+        binner).  Only the distinct code rows walk the trees
+        (:func:`score_claim_blocks`).  ``binned=False`` scores the same
         blocks through the float traversal instead — the reference the
         scenario harness compares the production path against bitwise.
         """

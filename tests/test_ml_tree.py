@@ -163,3 +163,72 @@ def test_cover_decreases_down_the_tree():
             assert tree.cover[left] + tree.cover[right] == pytest.approx(
                 tree.cover[node]
             )
+
+
+def _split_search(g_hist, h_hist, n_hist, g_sum, h_sum, n_rows):
+    """``_best_split`` of a one-feature, three-bin node over given hists."""
+    from repro.ml.tree import _TreeBuilder
+
+    X = np.array([[0.0], [1.0], [2.0]])
+    binner = HistogramBinner(max_bins=8).fit(X)
+    assert binner.n_bins(0) == 3  # positions: 3 value bins, missing, pad
+    params = TreeGrowthParams(min_child_weight=0.0, min_samples_leaf=1)
+    builder = _TreeBuilder(
+        binner.transform(X), binner, np.zeros(3), np.ones(3), params,
+        feature_indices=np.array([0]),
+    )
+    hists = (np.asarray(g_hist, float), np.asarray(h_hist, float), np.asarray(n_hist))
+    return builder._best_split(np.arange(n_rows), g_sum, h_sum, hists)
+
+
+def _seed_order_split(g_hist, h_hist, n_hist, g_sum, h_sum, n_rows):
+    """The seed's sequential scan: missing right, then left; lowest bin first."""
+    best = None
+    for default_left in (False, True):
+        for b in range(2):
+            gl = sum(g_hist[: b + 1]) + (g_hist[3] if default_left else 0.0)
+            hl = sum(h_hist[: b + 1]) + (h_hist[3] if default_left else 0.0)
+            nl = sum(n_hist[: b + 1]) + (n_hist[3] if default_left else 0)
+            if nl < 1 or n_rows - nl < 1:
+                continue
+            gain = 0.5 * (
+                gl * gl / (hl + 1.0)
+                + (g_sum - gl) ** 2 / (h_sum - hl + 1.0)
+                - g_sum * g_sum / (h_sum + 1.0)
+            )
+            if best is None or gain > best[3]:
+                best = (0, b, default_left, gain)
+    return best
+
+
+def test_split_search_keeps_missing_left_pass_for_residue_missing_bin():
+    """A derived histogram can hold an empty missing bin (n == 0) with a
+    nonzero gradient residue; both directions are then still searched,
+    and here the missing-goes-left pass wins."""
+    hists = ([1.0, 2.0, -4.0, 3.0, 0.0], [2.0, 2.0, 2.0, 0.0, 0.0], [5, 5, 5, 0, 0])
+    best = _split_search(*hists, g_sum=-1.0, h_sum=6.0, n_rows=15)
+    expected = _seed_order_split(*hists, g_sum=-1.0, h_sum=6.0, n_rows=15)
+    assert best[:3] == expected[:3] == (0, 1, True)
+    assert best[3] == pytest.approx(expected[3])
+
+
+@pytest.mark.parametrize(
+    "g_miss, h_miss, n_miss, direction",
+    [(0.0, 0.0, 0, False), (-0.0, 0.0, 0, False), (0.0, 0.5, 0, True),
+     (6.0, 3.0, 4, True), (-6.0, 3.0, 4, False)],
+)
+def test_split_search_matches_seed_order(g_miss, h_miss, n_miss, direction):
+    """Exactly empty missing bins search one direction; any mass or
+    residue in them searches both, and the chosen split is the seed's."""
+    n_rows = 15 + n_miss
+    hists = (
+        [1.0, 2.0, -4.0, g_miss, 0.0],
+        [2.0, 2.0, 2.0, h_miss, 0.0],
+        [5, 5, 5, n_miss, 0],
+    )
+    g_sum, h_sum = -1.0 + g_miss, 6.0 + h_miss
+    best = _split_search(*hists, g_sum=g_sum, h_sum=h_sum, n_rows=n_rows)
+    expected = _seed_order_split(*hists, g_sum=g_sum, h_sum=h_sum, n_rows=n_rows)
+    assert best[:3] == expected[:3]
+    assert best[2] is direction
+    assert best[3] == pytest.approx(expected[3])
