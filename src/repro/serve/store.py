@@ -112,7 +112,12 @@ def score_claim_blocks(
 
 
 def _unique_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a uint8 matrix and each row's index among them."""
+    """Distinct rows of a uint8 matrix and each row's index among them.
+
+    Each row is viewed as one opaque ``width``-byte scalar, so the sort
+    compares bytes; ``np.unique(codes, axis=0)`` gives the same answer
+    about 10x slower on the claim table.
+    """
     n, width = codes.shape
     if n == 0 or width == 0:
         return codes[:1], np.zeros(n, dtype=np.int64)
