@@ -92,12 +92,15 @@ thresholds, and per node one packed int64 *route word* (comparison
 bound, code-matrix column, right-child offset).  A row is reduced to one
 uint8 *threshold code* per used feature — the count of that feature's
 thresholds strictly below the value, :data:`MISSING_BIN` for non-finite
-values (:meth:`FlatEnsemble.threshold_codes`) — and
+values (:meth:`FlatEnsemble.threshold_codes`, counted by the binner's
+own kernel :func:`_count_below`) — and
 ``predict_margin(X, binned=True)`` traverses those codes with **two**
 gathers per level (route word + code), missing-value handling folded
 into the column choice via a pre-incremented copy of the code matrix,
 leaves self-looping as all-zero words, and per-depth active-set
-compaction once enough (row, tree) pairs have finished.  Because
+compaction once enough (row, tree) pairs have finished.  Leaf values
+are added tree by tree inside each row step of the walk, so only one
+step's leaf ids exist at a time.  Because
 ``x <= t_k`` is exactly equivalent to ``code(x) <= k`` (and both paths
 send non-finite values to the node's default direction), the margin is
 bitwise identical to the float path — asserted by the equivalence and
@@ -107,7 +110,7 @@ Pre-binned uint8 rows from the training binner walk the same table:
 the binner's cuts and maps each binner code to its threshold code with
 one lookup table per used feature.  The claim-score store
 (:func:`repro.serve.store.score_claim_blocks`) codes every claim this
-way, walks only the distinct code rows, and never bins a claim.
+way, walks only each block's distinct code rows, and never bins a claim.
 """
 
 from __future__ import annotations
@@ -136,30 +139,46 @@ _BLOCK_ELEMENTS = 1 << 22
 #: gather-then-offset path so training memory stays bounded at NBM scale.
 _OFFSET_CODES_MAX_ELEMENTS = 1 << 24
 
-#: Widest padded cut matrix the broadcast binner beats per-feature
-#: searchsorted on: O(n_cuts) comparisons per element wins on call
-#: overhead below this, loses to O(log n_cuts) above it.
-_BROADCAST_CUTS_MAX = 64
-
 #: Row-block cap for frontier traversal: the (rows, trees) temporaries of
 #: each level must stay cache-resident or the batched gathers lose to the
 #: per-tree loop's contiguous column reads (measured crossover ~2^18).
 _TRAVERSAL_BLOCK_ELEMENTS = 1 << 16
 
-#: Row block for the cut-accumulation binning loop: one block of float64
-#: rows (~0.5 MB at 128 features) stays L2-resident across all cut
-#: passes.
-_BINNING_BLOCK_ROWS = 512
-
-#: Widest threshold list coded by one broadcast comparison per
-#: threshold; wider lists use ``searchsorted``, whose O(log) scan wins
-#: once the comparisons outnumber the branch misses it costs.
-_COMPARE_THRESHOLDS_MAX = 12
+#: Row block for cut counting (:func:`_count_below`): each block's
+#: columns are transposed once (~7 MB of float64 at 109 features) so
+#: every cut comparison streams one contiguous column.
+_BINNING_BLOCK_ROWS = 1 << 13
 
 #: Compact the binned-traversal frontier when the live fraction of
 #: (row, tree) pairs drops below this (compaction costs a few selects,
 #: so it must drop enough dead pairs to pay for itself).
 _COMPACTION_THRESHOLD = 0.6
+
+
+def _count_below(X: np.ndarray, columns, cut_lists: list[np.ndarray]) -> np.ndarray:
+    """Per value, the count of its column's sorted cuts strictly below it.
+
+    Column ``j`` of the ``(n, len(cut_lists))`` uint8 result codes
+    ``X[:, columns][:, j]`` against ``cut_lists[j]`` (``searchsorted``
+    ``left``); non-finite values map to :data:`MISSING_BIN`.  The count
+    is accumulated one broadcast comparison per cut over a transposed
+    row block.  That is branch-free, where ``searchsorted`` mispredicts
+    on unsorted values: per column of 32k-58k claim rows it measured
+    20x slower at 1 cut, 1.5x at 128-192 and even only at 253, the
+    most cuts a uint8 code holds.
+    """
+    n = X.shape[0]
+    out = np.empty((n, len(cut_lists)), dtype=np.uint8)
+    step = _BINNING_BLOCK_ROWS
+    for start in range(0, n, step):
+        cols = np.ascontiguousarray(X[start : start + step].T[columns])
+        codes = np.zeros(cols.shape, dtype=np.uint8)
+        for code, col, cuts in zip(codes, cols, cut_lists):
+            for cut in cuts:
+                code += cut < col
+        codes[~np.isfinite(cols)] = MISSING_BIN
+        out[start : start + step] = codes.T
+    return out
 
 
 class HistogramBinner:
@@ -169,17 +188,8 @@ class HistogramBinner:
     ``split_values[f][b-1] < x <= split_values[f][b]`` (open below for b=0).
     NaN maps to :data:`MISSING_BIN`.
 
-    ``transform`` bins all features at once when cut lists are narrow
-    (≤ :data:`_BROADCAST_CUTS_MAX` cuts): the per-feature cut lists are
-    padded into one ``(d, max_cuts)`` matrix (padding ``+inf``) and the
-    bin code of every element is the count of cuts strictly below it,
-    accumulated one broadcast cut-column comparison at a time over
-    cache-resident row blocks — branch-free (quantile binning is
-    mispredict-bound under binary search) and bitwise-equivalent to a
-    per-feature ``searchsorted`` loop.  Wide cut lists (large
-    ``max_bins``) fall back to per-feature ``searchsorted``, whose
-    O(log) scan wins once the O(n_cuts) comparison work grows past the
-    branch misses it avoids.
+    ``transform`` counts each value's cuts with :func:`_count_below`,
+    the kernel the ensemble's threshold codes share.
     """
 
     def __init__(self, max_bins: int = 64):
@@ -187,7 +197,6 @@ class HistogramBinner:
             raise ValueError(f"max_bins must be in [2, 254], got {max_bins}")
         self.max_bins = max_bins
         self.split_values_: list[np.ndarray] | None = None
-        self._padded_cuts: np.ndarray | None = None
 
     def fit(self, X: np.ndarray) -> "HistogramBinner":
         """Choose per-feature split candidates from value quantiles."""
@@ -209,17 +218,8 @@ class HistogramBinner:
                 qs = np.linspace(0, 1, self.max_bins + 1)[1:-1]
                 cuts = np.unique(np.quantile(finite, qs))
             splits.append(cuts.astype(np.float64))
-        self._set_splits(splits)
-        return self
-
-    def _set_splits(self, splits: list[np.ndarray]) -> None:
-        """Install fitted cuts and rebuild the padded broadcast matrix."""
         self.split_values_ = splits
-        n_cuts = max((c.size for c in splits), default=0)
-        padded = np.full((len(splits), n_cuts), np.inf)
-        for f, cuts in enumerate(splits):
-            padded[f, : cuts.size] = cuts
-        self._padded_cuts = padded
+        return self
 
     def export_state(self) -> dict[str, np.ndarray]:
         """Fitted cuts as flat arrays (the pickle-free artifact payload).
@@ -257,12 +257,10 @@ class HistogramBinner:
                 f"cut_offsets end at {int(offsets[-1])}, "
                 f"but {values.size} cut values were provided"
             )
-        binner._set_splits(
-            [
-                values[offsets[f] : offsets[f + 1]].copy()
-                for f in range(offsets.size - 1)
-            ]
-        )
+        binner.split_values_ = [
+            values[offsets[f] : offsets[f + 1]].copy()
+            for f in range(offsets.size - 1)
+        ]
         return binner
 
     def transform(self, X: np.ndarray) -> np.ndarray:
@@ -274,31 +272,7 @@ class HistogramBinner:
             raise ValueError(
                 f"X must be (n, {len(self.split_values_)}), got {np.shape(X)}"
             )
-        cuts = self._padded_cuts
-        n, d = X.shape
-        out = np.empty((n, d), dtype=np.uint8)
-        if cuts.shape[1] > _BROADCAST_CUTS_MAX:
-            for f, feature_cuts in enumerate(self.split_values_):
-                col = X[:, f]
-                binned = np.searchsorted(feature_cuts, col, side="left")
-                codes = binned.astype(np.uint8)
-                codes[~np.isfinite(col)] = MISSING_BIN
-                out[:, f] = codes
-            return out
-        # Accumulate one broadcast comparison per cut column over a
-        # cache-resident row block: the bin code is the count of cuts
-        # strictly below the value (== searchsorted 'left'), and the
-        # (rows, d) accumulator never materializes the full
-        # (rows, d, n_cuts) tensor.
-        step = max(1, _BINNING_BLOCK_ROWS)
-        for start in range(0, n, step):
-            blk = X[start : start + step]
-            codes = np.zeros(blk.shape, dtype=np.uint8)
-            for j in range(cuts.shape[1]):
-                codes += cuts[:, j] < blk
-            codes[~np.isfinite(blk)] = MISSING_BIN
-            out[start : start + step] = codes
-        return out
+        return _count_below(X, slice(None), self.split_values_)
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)
@@ -653,18 +627,7 @@ class FlatEnsemble:
                 f"X has {X.shape[1]} columns but the ensemble splits on "
                 f"feature {int(table.features[-1])}"
             )
-        # Feature-major: each used column is one contiguous row, so the
-        # per-threshold comparisons stream through it.
-        cols = np.ascontiguousarray(X[:, table.features].T)
-        out = np.zeros(cols.shape, dtype=np.uint8)
-        for code, col, thresholds in zip(out, cols, table.thresholds):
-            if thresholds.size > _COMPARE_THRESHOLDS_MAX:
-                code[:] = np.searchsorted(thresholds, col, side="left")
-                continue
-            for t in thresholds:
-                code += t < col
-        out[~np.isfinite(cols)] = MISSING_BIN
-        return out.T
+        return _count_below(X, table.features, table.thresholds)
 
     def bind_binner(self, binner: "HistogramBinner") -> None:
         """Map a fitted binner's uint8 codes onto the threshold codes.
@@ -757,29 +720,23 @@ class FlatEnsemble:
         out[pos] = cur
         return out.reshape(m, T)
 
-    def _leaves_codes(self, codes: np.ndarray) -> np.ndarray:
-        """(n, n_trees) global leaf ids for a threshold-code matrix."""
-        n = codes.shape[0]
-        if self.n_trees == 0:
-            return np.empty((n, 0), dtype=np.int64)
-        # Doubled code matrix: columns n_used.. hold codes + 1 (uint8
-        # wrap), the missing-goes-left view (MISSING_BIN wraps to 0 =
-        # "below every threshold").
-        Xb2 = np.concatenate([codes, codes + np.uint8(1)], axis=1)
-        out = np.empty((n, self.n_trees), dtype=np.int64)
-        step = max(1, _TRAVERSAL_BLOCK_ELEMENTS // self.n_trees)
-        for start in range(0, n, step):
-            out[start : start + step] = self._leaves_block_binned(
-                Xb2[start : start + step]
-            )
-        return out
+    def _leaves_steps(self, codes: np.ndarray):
+        """Yield ``(rows, leaf ids)`` for each traversal step of a code matrix.
 
-    def predict_leaves_binned(self, Xb: np.ndarray) -> np.ndarray:
-        """(n, n_trees) global leaf ids for pre-binned uint8 rows.
-
-        Requires :meth:`bind_binner` first; ``Xb`` must be codes produced
-        by the bound binner's :meth:`HistogramBinner.transform`.
+        Only one step of ``(rows, n_trees)`` leaf ids, and of the doubled
+        code matrix, exists at a time.
         """
+        step = max(1, _TRAVERSAL_BLOCK_ELEMENTS // max(self.n_trees, 1))
+        for start in range(0, codes.shape[0], step):
+            block = codes[start : start + step]
+            # Doubled code rows: columns n_used.. hold codes + 1 (uint8
+            # wrap), the missing-goes-left view (MISSING_BIN wraps to 0 =
+            # "below every threshold").
+            doubled = np.concatenate([block, block + np.uint8(1)], axis=1)
+            yield slice(start, start + step), self._leaves_block_binned(doubled)
+
+    def _binned_codes(self, Xb: np.ndarray) -> np.ndarray:
+        """Threshold codes of pre-binned uint8 rows (see :meth:`bind_binner`)."""
         if self._bin_lut is None:
             raise RuntimeError("no binner bound; call bind_binner() first")
         Xb = np.asarray(Xb)
@@ -789,20 +746,43 @@ class FlatEnsemble:
         if Xb.shape[1] != d:
             raise ValueError(f"Xb must have {d} columns, got {Xb.shape[1]}")
         features = self._split_table().features
-        codes = self._bin_lut[np.arange(features.size), Xb[:, features]]
-        return self._leaves_codes(codes)
+        codes = np.empty((features.size, Xb.shape[0]), dtype=np.uint8)
+        for code, lut, col in zip(codes, self._bin_lut, Xb.T[features]):
+            np.take(lut, col, out=code)
+        return codes.T
+
+    def predict_leaves_binned(self, Xb: np.ndarray) -> np.ndarray:
+        """(n, n_trees) global leaf ids for pre-binned uint8 rows.
+
+        Requires :meth:`bind_binner` first; ``Xb`` must be codes produced
+        by the bound binner's :meth:`HistogramBinner.transform`.
+        """
+        codes = self._binned_codes(Xb)
+        out = np.empty((codes.shape[0], self.n_trees), dtype=np.int64)
+        for rows, leaves in self._leaves_steps(codes):
+            out[rows] = leaves
+        return out
 
     def predict_margin_codes(
         self, codes: np.ndarray, base_margin: float = 0.0
     ) -> np.ndarray:
-        """Additive score per row of a :meth:`threshold_codes` matrix."""
+        """Additive score per row of a :meth:`threshold_codes` matrix.
+
+        Leaf values are added tree by tree, in ensemble order, inside
+        each traversal step, so memory stays bounded by the step.
+        """
         codes = np.asarray(codes)
         if codes.dtype != np.uint8 or codes.shape[1:] != self.split_features.shape:
             raise ValueError(
                 f"codes must be (n, {self.split_features.size}) uint8 "
                 f"threshold codes, got {codes.dtype} {codes.shape}"
             )
-        return self._sum_leaves(self._leaves_codes(codes), base_margin)
+        margin = np.full(codes.shape[0], float(base_margin))
+        for rows, leaves in self._leaves_steps(codes):
+            block = margin[rows]
+            for t in range(self.n_trees):
+                block += self.values[leaves[:, t]]
+        return margin
 
     def predict_margin(
         self,
@@ -829,11 +809,10 @@ class FlatEnsemble:
         if binner is not None and binner is not self._bound_binner:
             self.bind_binner(binner)
         X = np.asarray(X)
-        if X.dtype == np.uint8:
-            return self._sum_leaves(self.predict_leaves_binned(X), base_margin)
-        return self._sum_leaves(
-            self._leaves_codes(self.threshold_codes(X)), base_margin
+        codes = (
+            self._binned_codes(X) if X.dtype == np.uint8 else self.threshold_codes(X)
         )
+        return self.predict_margin_codes(codes, base_margin)
 
     def _sum_leaves(self, leaves: np.ndarray, base_margin: float) -> np.ndarray:
         """``base_margin`` plus each row's leaf values, in ensemble order."""

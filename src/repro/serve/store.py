@@ -72,21 +72,19 @@ def score_claim_blocks(
     (monolithic, in-process) and the shard-parallel workers of
     :mod:`repro.store.parallel`.  Each block is vectorized and reduced
     to its threshold codes (:meth:`FlatEnsemble.threshold_codes`: one
-    uint8 per feature the ensemble splits on), written into one
-    ``(n, n_used)`` code matrix.  Claims that share a code row share a
-    margin, so the duplicate rows are removed once, only the distinct
-    rows walk the trees, and their margins are scattered back through
-    the inverse index.  ``binned=False`` scores each block through the
-    float traversal instead.  Every row's margin depends on its own
-    features only, so any partition of the rows — blocks, shards,
-    processes — produces bitwise-identical margins; the sharded
-    equivalence suite pins that contract.
+    uint8 per feature the ensemble splits on).  Claims that share a code
+    row share a margin, so each block's duplicate rows are removed, only
+    its distinct rows walk the trees, and their margins are scattered
+    back through the inverse index; memory stays bounded by the block.
+    ``binned=False`` scores each block through the float traversal
+    instead.  Every row's margin depends on its own features only, so
+    any partition of the rows — blocks, shards, processes — produces
+    bitwise-identical margins; the sharded equivalence suite pins that
+    contract.
     """
     ensemble = classifier.flat_ensemble
     n = len(claims)
     margin = np.empty(n)
-    if binned:
-        codes = np.empty((n, ensemble.split_features.size), dtype=np.uint8)
     states = _STATE_ABBRS[claims.state_idx]
     step = max(1, int(block_rows))
     for start in range(0, n, step):
@@ -100,14 +98,12 @@ def score_claim_blocks(
         )
         X = builder.vectorize_columns(cols)
         if binned:
-            codes[start:stop] = ensemble.threshold_codes(X)
+            distinct, inverse = _unique_rows(ensemble.threshold_codes(X))
+            margin[start:stop] = ensemble.predict_margin_codes(
+                distinct, base_margin=classifier.base_margin
+            )[inverse]
         else:
             margin[start:stop] = classifier.predict_margin(X)
-    if binned:
-        distinct, inverse = _unique_rows(codes)
-        margin[:] = ensemble.predict_margin_codes(
-            distinct, base_margin=classifier.base_margin
-        )[inverse]
     return margin
 
 
@@ -244,10 +240,10 @@ class ClaimScoreStore:
         Claims default to the builder's own claim store (every claim in
         the filing table).  Rows are vectorized straight from the claim
         arrays (:meth:`FeatureBuilder.vectorize_columns` — no per-claim
-        ``Observation`` objects), block by block so the float matrix
-        stays bounded at NBM scale, and reduced to the ensemble's
-        threshold codes (one byte per feature the trees split on; no
-        binner).  Only the distinct code rows walk the trees
+        ``Observation`` objects), block by block so peak memory stays
+        bounded at NBM scale, and reduced to the ensemble's threshold
+        codes (one byte per feature the trees split on; no binner).
+        Only each block's distinct code rows walk the trees
         (:func:`score_claim_blocks`).  ``binned=False`` scores the same
         blocks through the float traversal instead — the reference the
         scenario harness compares the production path against bitwise.

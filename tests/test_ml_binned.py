@@ -148,8 +148,8 @@ def wide():
     flat = model.flat_ensemble
     table = flat._split_table()
     sizes = [t.size for t in table.thresholds]
-    # Both coding kernels run: broadcast comparisons and searchsorted.
-    assert min(sizes) <= tree_mod._COMPARE_THRESHOLDS_MAX < max(sizes)
+    # Features split at one threshold and at many.
+    assert min(sizes) == 1 and max(sizes) >= 16
     unused = sorted(set(range(X.shape[1])) - set(table.features.tolist()))
     assert {3, X.shape[1] - 1} <= set(unused)
     # Per feature: every split threshold, one ulp either side, the
@@ -241,6 +241,67 @@ def test_unused_features_are_never_read(wide):
     )
 
 
+def test_small_row_blocks_change_nothing(wide, monkeypatch):
+    """Cut counting and the traversal give the same codes, leaves and
+    margins in blocks of a few rows as in one block."""
+    model, X, _ = wide
+    flat = model.flat_ensemble
+    binner = model._state.binner
+    flat.bind_binner(binner)
+    before = (
+        binner.transform(X),
+        flat.threshold_codes(X),
+        flat.predict_leaves_binned(binner.transform(X)),
+        model.predict_margin(X, binned=True),
+    )
+    monkeypatch.setattr(tree_mod, "_BINNING_BLOCK_ROWS", 7)
+    monkeypatch.setattr(tree_mod, "_TRAVERSAL_BLOCK_ELEMENTS", 3 * flat.n_trees)
+    after = (
+        binner.transform(X),
+        flat.threshold_codes(X),
+        flat.predict_leaves_binned(binner.transform(X)),
+        model.predict_margin(X, binned=True),
+    )
+    for b, a in zip(before, after):
+        np.testing.assert_array_equal(b, a)
+    np.testing.assert_array_equal(flat.predict_leaves(X), after[2])
+    np.testing.assert_array_equal(model.predict_margin(X), after[3])
+
+
+def test_cut_counting_at_the_widest_cut_list():
+    """253 cuts, the most a uint8 code holds beside MISSING_BIN, code
+    exactly as a per-feature ``searchsorted`` left."""
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(3000, 3))
+    X[rng.random(X.shape) < 0.05] = np.nan
+    X[rng.random(X.shape) < 0.01] = np.inf
+    X[rng.random(X.shape) < 0.01] = -np.inf
+    binner = HistogramBinner(max_bins=254).fit(X)
+    assert max(c.size for c in binner.split_values_) == 253
+    X[:253, 0] = binner.split_values_[0][:253]
+    expected = np.stack(
+        [np.searchsorted(c, X[:, f], side="left") for f, c in enumerate(binner.split_values_)],
+        axis=1,
+    ).astype(np.uint8)
+    expected[~np.isfinite(X)] = MISSING_BIN
+    np.testing.assert_array_equal(binner.transform(X), expected)
+
+
+def test_score_claim_blocks_with_small_traversal_steps(
+    tiny_model, tiny_builder, tiny_score_store, monkeypatch
+):
+    """Scoring a few rows per traversal step leaves every margin as built."""
+    model, _ = tiny_model
+    picks = np.arange(0, len(tiny_builder.claims), 11)
+    monkeypatch.setattr(
+        tree_mod, "_TRAVERSAL_BLOCK_ELEMENTS", 5 * model.classifier.flat_ensemble.n_trees
+    )
+    margin = score_claim_blocks(
+        model.classifier, tiny_builder, tiny_builder.claims.take(picks), block_rows=500
+    )
+    np.testing.assert_array_equal(margin, tiny_score_store.margin[picks])
+
+
 def _leaf(value):
     return RegressionTree(
         feature=np.array([-1], np.int32),
@@ -297,7 +358,7 @@ def test_single_leaf_trees_and_stumps(rows):
         mixed.predict_margin(X, 0.1), mixed.predict_margin(X, 0.1, binned=True)
     )
     binner = HistogramBinner(max_bins=8)
-    binner._set_splits([np.array([-2.0, 0.5, 1.0]), np.array([2.0, 3.0])])
+    binner.split_values_ = [np.array([-2.0, 0.5, 1.0]), np.array([2.0, 3.0])]
     mixed.bind_binner(binner)
     np.testing.assert_array_equal(
         mixed.predict_margin(X, 0.1),
