@@ -25,12 +25,6 @@ class As2OrgDataset:
 
     groups: dict[str, frozenset[int]]
 
-    def group_of(self, asn: int) -> frozenset[int] | None:
-        for group in self.groups.values():
-            if asn in group:
-                return group
-        return None
-
 
 def build_as2org(registry: WhoisRegistry) -> As2OrgDataset:
     """Group ASNs by their WHOIS organization (the as2org+ analog)."""

@@ -11,7 +11,7 @@ Fig. 9 density), which are scale-invariant by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.fcc.challenges import ChallengeConfig
 from repro.fcc.fabric import FabricConfig
@@ -44,9 +44,6 @@ class ScenarioConfig:
     embedding_dim: int = 32
     #: Ookla devices/BSL threshold for likely-served cells (paper: 1.0).
     coverage_threshold: float = 1.0
-
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        return replace(self, seed=seed)
 
 
 def tiny(seed: int = 0) -> ScenarioConfig:

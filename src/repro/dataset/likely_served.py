@@ -100,7 +100,8 @@ class MLabLocalization:
     n_dropped_radius: int
     #: Tests dropped because their ASN matched no provider.
     n_dropped_unattributed: int
-    #: The pass's triples; ``None`` when rebuilt from persisted counts.
+    #: The pass's triples; ``None`` for a localization built from counts
+    #: alone, which carries no per-test throughputs.
     triples: AttributionTriples | None = field(default=None, repr=False, compare=False)
     #: Lazily-built columnar (provider, cell) -> count index.
     _count_index: "MultiColumnIndex | None" = field(

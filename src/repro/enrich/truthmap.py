@@ -155,7 +155,10 @@ def build_truth_map(localization: MLabLocalization) -> TruthMap:
     """
     triples = localization.triples
     if triples is None:
-        raise ValueError("localization has no attribution triples (rebuilt from counts?)")
+        raise ValueError(
+            "localization has no attribution triples (counts alone carry no "
+            "throughputs); build it with localize_mlab_tests"
+        )
     with get_metrics().histogram("enrich_build_seconds", stage="truthmap").time():
         starts, n_tests = triples.key_runs()
         tile = np.repeat(np.arange(starts.size), n_tests)

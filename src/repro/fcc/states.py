@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["StateInfo", "STATES", "state_by_abbr", "contiguous_states", "challenge_weights"]
 
 
@@ -44,10 +42,6 @@ class StateInfo:
             (self.lat_min + self.lat_max) / 2.0,
             (self.lng_min + self.lng_max) / 2.0,
         )
-
-    @property
-    def is_territory(self) -> bool:
-        return self.abbr in {"PR", "GU", "VI", "AS", "MP", "DC"}
 
 
 def _s(abbr, name, fips, lat0, lat1, lng0, lng1, pop, cw) -> StateInfo:

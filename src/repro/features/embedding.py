@@ -63,15 +63,6 @@ class TextEmbedder:
             "char_ngrams": list(self.char_ngrams),
         }
 
-    @classmethod
-    def from_spec(cls, spec: dict) -> "TextEmbedder":
-        """Rebuild an embedder from :meth:`spec` output."""
-        return cls(
-            dim=int(spec["dim"]),
-            word_ngrams=tuple(int(n) for n in spec["word_ngrams"]),
-            char_ngrams=tuple(int(n) for n in spec["char_ngrams"]),
-        )
-
     def _tokens(self, text: str) -> list[str]:
         words = re.findall(r"[a-z0-9]+", text.lower())
         out: list[str] = []

@@ -90,7 +90,6 @@ class FeatureBuilder:
         table: AvailabilityTable,
         coverage_scores: dict[int, float],
         localization: MLabLocalization,
-        embedder: TextEmbedder | None = None,
         embedding_dim: int = 32,
         enrichment: Enrichment | None = None,
     ):
@@ -99,12 +98,11 @@ class FeatureBuilder:
         self.coverage_scores = coverage_scores
         self.localization = localization
         self.enrichment = enrichment
-        self.embedder = embedder or TextEmbedder(dim=embedding_dim)
+        self.embedder = TextEmbedder(dim=embedding_dim)
         self._state_encoder = StateOneHot()
         self._tech_encoder = TechnologyOneHot()
-        # A filing table rolls up to its hex-level claims; a prebuilt
-        # ClaimColumns (e.g. one shard of a national store) is used as-is.
-        self._claims = table.columnar() if hasattr(table, "columnar") else table
+        # The filing table rolls up to its hex-level claims.
+        self._claims = table.columnar()
         # Scalar-path dict view of the same aggregates, built lazily on
         # first vectorize_one/_claim_scalars use so batch-only consumers
         # never pay the per-claim Python loop (the independent reference
@@ -166,20 +164,6 @@ class FeatureBuilder:
             point = hexgrid.cell_to_latlng(cell)
             self._centroids[cell] = point
         return point
-
-    def warm_caches(self, provider_ids, cells) -> None:
-        """Populate the embedding/centroid caches for the given keys.
-
-        Both caches are deterministic, so warming then exporting
-        (:meth:`export_encoder_state`) captures everything a
-        world-detached builder needs to vectorize those providers/cells
-        bitwise-identically (the frozen-builder bundles of
-        :mod:`repro.store.bundle` rely on this).
-        """
-        for pid in np.unique(np.asarray(provider_ids, dtype=np.int64)):
-            self._embedding_for(int(pid))
-        for cell in np.unique(np.asarray(cells, dtype=np.uint64)):
-            self._centroid(int(cell))
 
     # -- public API -----------------------------------------------------------
 

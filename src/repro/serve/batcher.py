@@ -123,11 +123,6 @@ class BatcherStats:
     def deadline_drops(self) -> int:
         return self._deadline_drops.value
 
-    @property
-    def cache_hit_ratio(self) -> float:
-        requests = self.requests
-        return self.cache_hits / requests if requests else 0.0
-
     def as_dict(self) -> dict:
         return {
             "requests": self.requests,

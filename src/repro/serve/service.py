@@ -150,20 +150,6 @@ class AuditService:
         return cls(registry=registry, **kwargs)
 
     @classmethod
-    def from_sharded(cls, path: str, mmap: bool = True, **kwargs):
-        """Serve a per-state sharded store bundle (store-only, no model).
-
-        Loads :meth:`ClaimScoreStore.load_sharded` — memory-mapped
-        read-only by default, so a national-scale bundle serves without
-        materializing untouched pages — and registers it as the default
-        version.  Lookups and cursor pagination reproduce the monolithic
-        ``sus_order`` exactly (the sharded equivalence contract); the
-        cold path needs a classifier and is unavailable here.
-        """
-        store = ClaimScoreStore.load_sharded(path, mmap=mmap)
-        return cls(store, **kwargs)
-
-    @classmethod
     def from_registry(cls, registry: ModelRegistry, **kwargs):
         """Bind a service to a pre-populated multi-version registry."""
         return cls(registry=registry, **kwargs)
@@ -211,12 +197,6 @@ class AuditService:
             fault_plan=fault_plan,
             breaker=breaker,
         )
-
-    def load_version(
-        self, name: str, path: str, builder=None, default: bool | None = None
-    ) -> ModelVersion:
-        """Register a version loaded from an artifact bundle."""
-        return self.registry.load(name, path, builder=builder, default=default)
 
     def activate(self, name: str) -> ModelVersion:
         """Atomically hot-swap the default version (see the registry docs)."""

@@ -68,18 +68,17 @@ def score_claim_blocks(
 ) -> np.ndarray:
     """Margin per claim row, scored in bounded blocks.
 
-    The single scoring kernel behind both :meth:`ClaimScoreStore.build`
-    (monolithic, in-process) and the shard-parallel workers of
-    :mod:`repro.store.parallel`.  Each block is vectorized and reduced
-    to its threshold codes (:meth:`FlatEnsemble.threshold_codes`: one
-    uint8 per feature the ensemble splits on).  Claims that share a code
-    row share a margin, so each block's duplicate rows are removed, only
-    its distinct rows walk the trees, and their margins are scattered
-    back through the inverse index; memory stays bounded by the block.
-    ``binned=False`` scores each block through the float traversal
-    instead.  Every row's margin depends on its own features only, so
-    any partition of the rows — blocks, shards, processes — produces
-    bitwise-identical margins; the sharded equivalence suite pins that
+    The scoring kernel behind :meth:`ClaimScoreStore.build`.  Each block
+    is vectorized and reduced to its threshold codes
+    (:meth:`FlatEnsemble.threshold_codes`: one uint8 per feature the
+    ensemble splits on).  Claims that share a code row share a margin,
+    so each block's duplicate rows are removed, only its distinct rows
+    walk the trees, and their margins are scattered back through the
+    inverse index; memory stays bounded by the block.  ``binned=False``
+    scores each block through the float traversal instead.  Every row's
+    margin depends on its own features only, so any partition of the
+    rows — blocks or per-state shards — produces bitwise-identical
+    margins; the block- and partition-invariance test pins that
     contract.
     """
     ensemble = classifier.flat_ensemble
@@ -247,6 +246,10 @@ class ClaimScoreStore:
         (:func:`score_claim_blocks`).  ``binned=False`` scores the same
         blocks through the float traversal instead — the reference the
         scenario harness compares the production path against bitwise.
+
+        This is the one way a store is built; :meth:`save_sharded`
+        persists it with a per-state partition and :meth:`load_sharded`
+        serves it back, memory-mapped.
         """
         if claims is None:
             claims = builder.claims
@@ -255,47 +258,6 @@ class ClaimScoreStore:
                 classifier, builder, claims, block_rows=block_rows, binned=binned
             )
             return cls(claims, margin)
-
-    @classmethod
-    def build_sharded(
-        cls,
-        classifier: GradientBoostedClassifier,
-        builder,
-        claims: ClaimColumns | None = None,
-        shards=None,
-        n_workers: int = 2,
-        workdir: str | None = None,
-        block_rows: int = _BUILD_BLOCK_ROWS,
-        binned: bool = True,
-    ) -> "ClaimScoreStore":
-        """Score the claims shard-parallel across worker processes.
-
-        Splits the claim table into per-state shards
-        (:class:`repro.store.sharded.ShardedClaimColumns`; ``shards``
-        picks the layout), saves the model artifacts plus a frozen
-        feature-table bundle into ``workdir`` (a temporary directory by
-        default), scores each shard in a ``multiprocessing`` worker that
-        loads everything from those pickle-free bundles, and stitches
-        the per-shard margin partials back into monolithic row order.
-        Bitwise-identical to :meth:`build` — per-row scoring does not
-        depend on batch composition (the equivalence suite enforces it).
-        """
-        from repro.store.parallel import build_sharded_margins
-        from repro.store.sharded import ShardedClaimColumns
-
-        if claims is None:
-            claims = builder.claims
-        sharded = ShardedClaimColumns.from_claims(claims, shards=shards)
-        margin = build_sharded_margins(
-            classifier,
-            builder,
-            sharded,
-            n_workers=n_workers,
-            workdir=workdir,
-            block_rows=block_rows,
-            binned=binned,
-        )
-        return cls(claims, margin)
 
     # -- lookups ------------------------------------------------------------
 

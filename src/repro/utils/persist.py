@@ -1,9 +1,9 @@
 """One crash-safe bundle format for every persisted artifact.
 
 Every artifact this package saves — sharded claim columns (and the score
-store riding on them), the truth map, model artifacts and frozen feature
-tables — is a *bundle*: a set of named NumPy arrays plus a little JSON
-metadata, written by :func:`write` and opened by :func:`read`.
+store riding on them), the truth map and model artifacts — is a
+*bundle*: a set of named NumPy arrays plus a little JSON metadata,
+written by :func:`write` and opened by :func:`read`.
 
 Layout on disk (all paths relative to the bundle root)::
 

@@ -35,6 +35,18 @@ REPLAYS = {
     "obs": ("bench_perf_obs", "run"),
 }
 
+def _row(section, ratio):
+    """A replay row; a section without a ratio key gets none."""
+    key = cpr.REQUIRED_SECTIONS[section][0]
+    return {"size": "quick", **({} if key is None else {key: ratio})}
+
+
+def _reported(section):
+    """The line a passing replay of ``section`` at 2.0x prints (its start)."""
+    if cpr.REQUIRED_SECTIONS[section][0] is None:
+        return f"{section}/quick: assertions passed (no gated ratio) -> ok"
+    return f"{section}/quick: baseline 2.00x, fresh 2.00x"
+
 
 @pytest.fixture
 def fake_benches(tmp_path, monkeypatch):
@@ -44,8 +56,8 @@ def fake_benches(tmp_path, monkeypatch):
     or set ``state.fresh[section]`` to change the ratio it reads."""
     assert REPLAYS.keys() == cpr.REQUIRED_SECTIONS.keys()
     baseline = {
-        section: {"results": [{"size": "quick", key: 2.0}]}
-        for section, (key, _) in cpr.REQUIRED_SECTIONS.items()
+        section: {"results": [_row(section, 2.0)]}
+        for section in cpr.REQUIRED_SECTIONS
     }
     path = tmp_path / "BENCH_perf.json"
     path.write_text(json.dumps(baseline))
@@ -58,8 +70,7 @@ def fake_benches(tmp_path, monkeypatch):
         def run(**_kwargs):
             if section in state.failing:
                 raise AssertionError(f"{section} missed its bar")
-            key = cpr.REQUIRED_SECTIONS[section][0]
-            return [{"size": "quick", key: state.fresh.get(section, 2.0)}]
+            return [_row(section, state.fresh.get(section, 2.0))]
 
         return run
 
@@ -81,7 +92,7 @@ def test_all_pass_exits_zero(fake_benches, capsys):
     assert cpr.main() == 0
     out = capsys.readouterr().out
     for section in REPLAYS:
-        assert f"{section}/quick: baseline 2.00x, fresh 2.00x" in out
+        assert _reported(section) in out, section
     assert "FAILED BAR" not in out
     assert fake_benches.closed
 
@@ -93,7 +104,7 @@ def test_failed_bar_still_prints_every_later_section(fake_benches, capsys, faili
     out = capsys.readouterr().out
     for section in REPLAYS:
         if section != failing:
-            assert f"{section}/quick: baseline 2.00x" in out, section
+            assert _reported(section) in out, section
     assert f"FAILED BAR {failing}: {failing} missed its bar" in out
     assert fake_benches.closed
 

@@ -278,27 +278,6 @@ def test_encoder_state_refuses_feature_set_mismatch(
     tiny_builder.restore_encoder_state(legacy, arrays)
 
 
-def test_build_sharded_refuses_enriched_builder_up_front(
-    tmp_path, tiny_model, enriched_builder
-):
-    """The frozen feature bundle has no enrichment block, so a sharded
-    build of an enriched builder fails in the parent with a clear error
-    before it writes anything, not later inside every worker."""
-    from repro.serve import ClaimScoreStore
-
-    model, _ = tiny_model
-    workdir = tmp_path / "work"
-    with pytest.raises(ValueError, match="enrichment block"):
-        ClaimScoreStore.build_sharded(
-            model.classifier,
-            enriched_builder,
-            shards=2,
-            n_workers=1,
-            workdir=str(workdir),
-        )
-    assert not workdir.exists() or not any(workdir.iterdir())
-
-
 # -- audit priority -----------------------------------------------------------
 
 

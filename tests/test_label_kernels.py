@@ -7,9 +7,8 @@ first filing rows.  Each must agree *bitwise* with the per-claim loops it
 replaced (``tests/labels_oracle.py``): same keys, same order, same score
 bits, same dtypes.  Cases: the tiny world, randomized tables with tied
 coverage scores, cells with no score under thresholds at or below 0, an
-empty coverage map, an empty table, and a localization rebuilt from
-persisted counts (no attribution triples, as ``repro.store.bundle``
-loads it).
+empty coverage map, an empty table, and a localization built from
+counts alone (no attribution triples).
 """
 
 import numpy as np
@@ -46,7 +45,7 @@ def _bits(pairs):
 
 
 def _persisted_localization(test_counts) -> MLabLocalization:
-    """A localization as ``store.bundle`` rebuilds it: counts, no triples."""
+    """A localization built from counts alone: no attribution triples."""
     cells_by_provider = {}
     for pid, cell in test_counts:
         cells_by_provider.setdefault(pid, set()).add(cell)
@@ -148,24 +147,6 @@ def test_tiny_world_timeline_matches_oracle(tiny_world):
     assert timeline.initial_claims == expected.initial_claims
     assert timeline.removals == expected.removals
     assert timeline.removals == world.timeline.removals
-
-
-def test_bundle_localization_matches_oracle(tiny_world, tiny_builder, tmp_path):
-    from repro.store.bundle import load_feature_tables, save_feature_tables
-
-    path = save_feature_tables(str(tmp_path / "tables"), tiny_builder)
-    loaded = load_feature_tables(path, tiny_world.table.columnar())
-    assert loaded.localization.triples is None
-    threshold = tiny_world.config.coverage_threshold
-    got = likely_served_claims(
-        tiny_world.table, loaded.coverage_scores, loaded.localization, threshold
-    )
-    assert _bits(got) == _bits(oracle.likely_served_claims(
-        tiny_world.table, loaded.coverage_scores, loaded.localization, threshold
-    ))
-    assert _bits(got) == _bits(likely_served_claims(
-        tiny_world.table, tiny_world.coverage_scores, tiny_world.localization, threshold
-    ))
 
 
 @settings(deadline=None, max_examples=80)

@@ -1,8 +1,8 @@
-"""One bundle primitive, five artifact kinds: the shared persistence contract.
+"""One bundle primitive, four artifact kinds: the shared persistence contract.
 
 Every persisted artifact — sharded claim columns, the score store riding
-on them, the truth map, model artifacts and frozen feature tables — goes
-through :mod:`repro.utils.persist`.  These tests hold all five kinds (the
+on them, the truth map and model artifacts — goes through
+:mod:`repro.utils.persist`.  These tests hold all four kinds (the
 score store in both its single-shard and its default per-state layout)
 to the same contract on small synthetic inputs:
 
@@ -21,23 +21,20 @@ import json
 import os
 import stat
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 import pytest
 
 from conftest import make_random_claims
-from repro.dataset.likely_served import MLabLocalization
 from repro.enrich import TruthMap
-from repro.features.vectorize import FeatureBuilder
 from repro.ml.gbdt import GBDTParams, GradientBoostedClassifier
 from repro.serve.artifacts import load_model_artifacts, save_model_artifacts
 from repro.serve.store import ClaimScoreStore
-from repro.store import ShardedClaimColumns, load_feature_tables, save_feature_tables
+from repro.store import ShardedClaimColumns
 from repro.utils import persist
 
-# -- five kinds on synthetic inputs ---------------------------------------------
+# -- four kinds on synthetic inputs ---------------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
@@ -81,34 +78,6 @@ def _model(variant: int) -> GradientBoostedClassifier:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _builder(variant: int) -> FeatureBuilder:
-    """A world-free builder: just the tables a frozen bundle persists."""
-    claims = _claims(variant)
-    cells = claims.cell[::5]
-    universe = SimpleNamespace(
-        provider=lambda pid: SimpleNamespace(
-            methodology_text=f"provider {pid} fixed wireless coverage model"
-        )
-    )
-    return FeatureBuilder(
-        fabric=SimpleNamespace(cells=np.repeat(cells, 2)),
-        universe=universe,
-        table=claims,
-        coverage_scores={int(c): 0.25 * (i % 4) for i, c in enumerate(cells)},
-        localization=MLabLocalization(
-            cells_by_provider={},
-            test_counts={
-                (int(p), int(c)): 2
-                for p, c in zip(claims.provider_id[::7], claims.cell[::7])
-            },
-            n_dropped_radius=0,
-            n_dropped_unattributed=0,
-        ),
-        embedding_dim=4,
-    )
-
-
 @dataclass(frozen=True)
 class Kind:
     make: Callable[[int], object]
@@ -138,11 +107,6 @@ KINDS = {
         _model,
         lambda obj, root: save_model_artifacts(root, obj),
         load_model_artifacts,
-    ),
-    "features": Kind(
-        _builder,
-        lambda obj, root: save_feature_tables(root, obj),
-        lambda root: load_feature_tables(root, claims=_claims(0)),
     ),
 }
 

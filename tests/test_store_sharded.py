@@ -10,11 +10,11 @@ Two tiers:
   hits and misses.  The bundle's crash-safety and corruption checks are
   shared by every persisted kind and live in ``tests/test_persist.py``.
 
-* **Tiny-world equivalence** over the session model: the frozen-builder
-  bundle vectorizes bitwise-identically to the live builder, the
-  shard-parallel build reproduces the monolithic margin array bitwise
-  (in-process and across worker processes), and a sharded store bundle
-  serves the exact monolithic pagination walk.
+* **Tiny-world equivalence** over the session model: scoring is
+  invariant to the block size and to the per-state partition (each
+  shard scored on its own reproduces the monolithic margin array
+  bitwise), and a sharded store bundle serves the exact monolithic
+  pagination walk.
 """
 
 import json
@@ -29,12 +29,7 @@ from conftest import make_random_claims, mmap_backed
 from repro.fcc.bdc import ClaimColumns
 from repro.fcc.states import STATES
 from repro.serve.store import ClaimScoreStore, score_claim_blocks
-from repro.store import (
-    ShardedClaimColumns,
-    build_sharded_margins,
-    load_feature_tables,
-    save_feature_tables,
-)
+from repro.store import ShardedClaimColumns
 from repro.utils import persist
 from repro.utils.indexing import MultiColumnIndex
 
@@ -242,66 +237,12 @@ def tiny_claims(tiny_builder):
     return tiny_builder.claims
 
 
-def test_frozen_builder_vectorizes_bitwise(tmp_path, tiny_builder, tiny_claims):
-    """The world-detached feature bundle reproduces live vectorization."""
-    from repro.dataset.observations import ObservationColumns
-
-    path = str(tmp_path / "features")
-    save_feature_tables(path, tiny_builder)
-    frozen = load_feature_tables(path, claims=tiny_claims)
-    assert frozen.feature_names == tiny_builder.feature_names
-    rows = np.linspace(0, len(tiny_claims.provider_id) - 1, 512).astype(np.intp)
-    abbrs = np.array([s.abbr for s in STATES], dtype=object)
-    obs = ObservationColumns(
-        provider_id=tiny_claims.provider_id[rows],
-        cell=tiny_claims.cell[rows],
-        technology=tiny_claims.technology[rows].astype(np.int64),
-        state=abbrs[tiny_claims.state_idx[rows]],
-        unserved=np.zeros(rows.size, dtype=np.int64),
-    )
-    assert np.array_equal(
-        frozen.vectorize_columns(obs), tiny_builder.vectorize_columns(obs)
-    )
-
-
-def test_build_sharded_matches_monolithic_in_process(
-    tmp_path, tiny_model, tiny_builder, tiny_score_store
-):
-    """Tier-1 equivalence smoke: sharded build (1 worker, through the
-    on-disk worker bundles) is bitwise-identical to the monolithic
-    store for the full tiny world."""
-    model, _ = tiny_model
-    store = ClaimScoreStore.build_sharded(
-        model.classifier,
-        tiny_builder,
-        shards=4,
-        n_workers=1,
-        workdir=str(tmp_path / "work"),
-    )
-    assert np.array_equal(store.margin, tiny_score_store.margin)
-    assert np.array_equal(store.sus_order, tiny_score_store.sus_order)
-    assert store.etag == tiny_score_store.etag
-
-
-@pytest.mark.slow
-def test_build_sharded_matches_monolithic_multiprocess(
-    tiny_model, tiny_builder, tiny_score_store
-):
-    """Worker processes (fork or spawn) reproduce the monolithic margins
-    bitwise across the full per-state layout."""
-    model, _ = tiny_model
-    store = ClaimScoreStore.build_sharded(
-        model.classifier, tiny_builder, shards=None, n_workers=2
-    )
-    assert np.array_equal(store.margin, tiny_score_store.margin)
-
-
 def test_score_claim_blocks_is_block_size_invariant(
     tiny_model, tiny_builder, tiny_claims, tiny_score_store
 ):
     """The scoring kernel's margins do not depend on batch composition —
-    the property that makes any row partition (blocks, shards,
-    processes) bitwise-equivalent."""
+    the property that makes any row partition (blocks or per-state
+    shards) bitwise-equivalent."""
     model, _ = tiny_model
     sub = tiny_claims.take(np.arange(0, len(tiny_claims.provider_id), 37))
     a = score_claim_blocks(model.classifier, tiny_builder, sub, block_rows=64)
@@ -309,6 +250,15 @@ def test_score_claim_blocks_is_block_size_invariant(
     assert np.array_equal(a, b)
     rows = np.arange(0, len(tiny_claims.provider_id), 37)
     assert np.array_equal(a, tiny_score_store.margin[rows])
+    # Each state's shard scored on its own and scattered back through
+    # its global rows reproduces the whole-table margins.
+    sharded = ShardedClaimColumns.from_claims(tiny_claims)
+    stitched = np.full(len(tiny_claims), np.nan)
+    for name in sharded.shard_names:
+        stitched[sharded.global_rows(name)] = score_claim_blocks(
+            model.classifier, tiny_builder, sharded.shard(name)
+        )
+    assert np.array_equal(stitched, tiny_score_store.margin)
 
 
 def test_store_sharded_save_load_and_pagination(tmp_path, tiny_score_store):
@@ -436,24 +386,3 @@ def test_load_sharded_rejects_claims_only_bundle(tmp_path, tiny_claims):
     ShardedClaimColumns.from_claims(tiny_claims, shards=2).save(root)
     with pytest.raises(ValueError, match="margin"):
         ClaimScoreStore.load_sharded(root)
-
-
-def test_build_sharded_margins_roundtrip_with_kept_workdir(
-    tmp_path, tiny_model, tiny_builder, tiny_claims, tiny_score_store
-):
-    """With an explicit workdir the intermediate bundles survive and the
-    margin partials re-stitch to the monolithic array."""
-    model, _ = tiny_model
-    sub_rows = np.arange(0, len(tiny_claims.provider_id), 11)
-    sub = tiny_claims.take(sub_rows)
-    sharded = ShardedClaimColumns.from_claims(sub, shards=3)
-    workdir = str(tmp_path / "work")
-    margin = build_sharded_margins(
-        model.classifier, tiny_builder, sharded, n_workers=1, workdir=workdir
-    )
-    assert np.array_equal(margin, tiny_score_store.margin[sub_rows])
-    assert os.path.exists(os.path.join(workdir, "claims", persist.MANIFEST_NAME))
-    partials = os.listdir(os.path.join(workdir, "margins"))
-    assert len(partials) == sum(
-        1 for n in sharded.shard_names if len(sharded.shard(n))
-    )
