@@ -18,6 +18,12 @@ key set:
 Both paths are verified to return identical records; the acceptance bar
 is batched throughput >= 5x single.
 
+The same rows carry three ungated cold-start timings: ``import_seconds``
+(the serving stack imported in a fresh subprocess), ``cold_walk_seconds``
+(every record encoded by ``records_json`` in 1000-row pages on a freshly
+loaded store, as a new server's first full walk does) and
+``warm_walk_seconds`` (the same pass once the fragment cache is full).
+
 **Over the wire** (section ``serve_http``): a live
 :class:`~repro.serve.http.AuditHTTPServer` driven through one
 keep-alive connection:
@@ -43,6 +49,10 @@ Run standalone::
 from __future__ import annotations
 
 import argparse
+import os
+import subprocess
+import sys
+import tempfile
 
 import _perfutil
 
@@ -62,6 +72,18 @@ from repro.serve import AuditService, ClaimScoreStore  # noqa: E402
 
 #: (name, number of scored lookups per timed pass).
 SIZES = [("quick", 2_000), ("default", 20_000)]
+
+#: Rows per ``records_json`` call in the cold/warm walk timings.
+WALK_PAGE = 1_000
+
+#: Times the import probe runs; the median is kept.
+IMPORT_RUNS = 3
+
+_IMPORT_PROBE = (
+    "import time; start = time.perf_counter(); "
+    "import repro.serve, repro.serve.http; "
+    "print(time.perf_counter() - start)"
+)
 
 #: (name, lookups per timed HTTP pass, claims per POST chunk, page limit).
 HTTP_SIZES = [("quick", 4_000, 1_000, 500), ("default", 20_000, 1_000, 1_000)]
@@ -86,6 +108,41 @@ def _build_service():
     return service, build_s
 
 
+def _import_seconds() -> float:
+    """Median seconds to import the serving stack in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=_perfutil._SRC)
+    times = sorted(
+        float(
+            subprocess.run(
+                [sys.executable, "-c", _IMPORT_PROBE],
+                capture_output=True, text=True, check=True, env=env,
+            ).stdout
+        )
+        for _ in range(IMPORT_RUNS)
+    )
+    return times[len(times) // 2]
+
+
+def _walk_seconds(store: ClaimScoreStore) -> tuple[float, float]:
+    """A full ``records_json`` pass on a freshly loaded copy of ``store``
+    (every fragment encoded), then the same pass from the full cache."""
+    with tempfile.TemporaryDirectory() as root:
+        store.save_sharded(root)
+        fresh = ClaimScoreStore.load_sharded(root)
+        pages = [
+            fresh.sus_order[start : start + WALK_PAGE]
+            for start in range(0, len(fresh), WALK_PAGE)
+        ]
+
+        def _walk():
+            for rows in pages:
+                fresh.records_json(rows)
+
+        cold_s, _ = _perfutil.timed(_walk)
+        warm_s, _ = _perfutil.timed(_walk, repeats=3)
+    return cold_s, warm_s
+
+
 def run(quick: bool = False, service=None, build_s: float | None = None) -> list[dict]:
     """In-process lookups.  ``service`` lets a caller (``main``,
     ``check_perf_regression``) share one built world across ``run`` and
@@ -100,6 +157,12 @@ def run(quick: bool = False, service=None, build_s: float | None = None) -> list
     print(
         f"store: {n_claims:,} claims precomputed in {build_s:.2f}s "
         f"({n_claims / build_s:,.0f} claims/s)"
+    )
+    import_s = _import_seconds()
+    cold_walk_s, warm_walk_s = _walk_seconds(store)
+    print(
+        f"cold start: import {import_s:.3f}s  records_json walk "
+        f"cold {cold_walk_s:.3f}s / warm {warm_walk_s:.4f}s"
     )
     rng = np.random.default_rng(0)
     results = []
@@ -131,6 +194,9 @@ def run(quick: bool = False, service=None, build_s: float | None = None) -> list
             "single_lookups_per_s": n_lookups / single_s,
             "batched_lookups_per_s": n_lookups / batched_s,
             "lookup_speedup": single_s / batched_s,
+            "import_seconds": import_s,
+            "cold_walk_seconds": cold_walk_s,
+            "warm_walk_seconds": warm_walk_s,
         }
         results.append(row)
         print(

@@ -6,6 +6,12 @@ process surrogate (RBF kernel, log-marginal-likelihood lengthscale
 selection over a small grid) with the expected-improvement acquisition,
 maximized over random candidates.
 
+Scipy is imported inside the functions that use it, not at module load:
+``repro.ml`` re-exports this module, and the serving stack imports
+``repro.ml`` but never tunes, so a server or worker process would
+otherwise pay scipy's import (about 0.6 s) on every start.  Only tuning
+may import scipy; a test pins that the serving imports do not.
+
 Parameters are described by :class:`ParamSpec`; log-scaled and integer
 parameters are handled transparently.
 """
@@ -16,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import norm
 
 __all__ = ["ParamSpec", "SearchSpace", "BayesianOptimizer", "maximize"]
 
@@ -109,6 +113,8 @@ class _GaussianProcess:
         return np.exp(-0.5 * np.maximum(sq, 0.0) / self.lengthscale**2)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "_GaussianProcess":
+        from scipy.linalg import cho_factor, cho_solve
+
         self._X = X
         self._y_mean = float(y.mean())
         self._y_std = float(y.std()) or 1.0
@@ -124,6 +130,8 @@ class _GaussianProcess:
         return float(-0.5 * yn @ self._alpha - half_logdet)
 
     def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        from scipy.linalg import cho_solve
+
         Ks = self._kernel(X, self._X)
         mean = Ks @ self._alpha
         v = cho_solve(self._chol, Ks.T)
@@ -178,6 +186,8 @@ class BayesianOptimizer:
         """Propose the next parameter set to evaluate."""
         if self.n_observed < self.n_initial:
             return self.space.sample(self.rng)
+        from scipy.stats import norm
+
         X = np.vstack(self._X)
         y = np.asarray(self._y)
         gp = self._fit_gp(X, y)

@@ -57,6 +57,9 @@ _BUILD_BLOCK_ROWS = 32_768
 
 #: State abbreviation per STATES index, for claim-record rendering.
 _STATE_ABBRS = np.array([s.abbr for s in STATES], dtype=object)
+#: The same abbreviations as JSON strings, for the record encoder.
+_STATE_JSON = np.array([json.dumps(s.abbr) for s in STATES], dtype=object)
+_BOOL_JSON = ("false", "true")
 
 
 def score_claim_blocks(
@@ -119,6 +122,29 @@ def _unique_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = np.ascontiguousarray(codes).view(np.dtype((np.void, width))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     return codes[first], inverse.reshape(-1)
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """A float column's JSON spellings, each distinct value spelled once.
+
+    Claims share margins (a store has far fewer distinct margins than
+    rows) and speed tiers, so formatting, the dominant cost of encoding
+    a record, runs once per distinct value.  Values are told apart by
+    bit pattern, so ``-0.0`` and ``0.0`` keep their own spellings.  A
+    finite value is spelled by ``float.__repr__``, as ``json.dumps``
+    does; a column holding NaN or an infinity is spelled by
+    ``json.dumps`` itself (``NaN`` / ``Infinity``).
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    _, first, inverse = np.unique(
+        values.view(np.uint64), return_index=True, return_inverse=True
+    )
+    distinct = values[first]
+    if np.isfinite(distinct).all():
+        spelled = list(map(float.__repr__, distinct.tolist()))
+    else:
+        spelled = [json.dumps(v) for v in distinct.tolist()]
+    return np.array(spelled, dtype=object)[inverse.reshape(-1)].tolist()
 
 
 class ClaimScoreStore:
@@ -307,24 +333,56 @@ class ClaimScoreStore:
     def record_json(self, row: int) -> bytes:
         """One claim's record pre-encoded as a JSON fragment (cached).
 
+        The same encoder and cache as :meth:`records_json`, for one row.
+        """
+        return self.records_json((row,))[0]
+
+    def records_json(self, rows: np.ndarray) -> list[bytes]:
+        """Pre-encoded JSON fragments for a batch of rows (cached).
+
         A store's records are frozen for its lifetime, so each row is
         encoded at most once and paginated walks splice the cached bytes
         into the response envelope instead of re-serializing the dict on
-        every page.  The fragment is byte-identical to ``json.dumps`` of
-        :meth:`record` with default separators (a unit test pins it).
-        Concurrent first encodes of the same row are benign: both threads
-        compute identical bytes.
+        every page.  The rows not yet cached are encoded column by
+        column: each record field is gathered once for all of them and
+        turned into Python values with one ``tolist``, and one f-string
+        per row joins them.  Each fragment is byte-identical to
+        ``json.dumps`` of :meth:`record` with default separators (a
+        property test pins it).  Concurrent first encodes of the same row
+        are benign: both threads compute identical bytes.
         """
-        cached = self._record_json_cache.get(row)
-        if cached is None:
-            cached = json.dumps(self.record(row)).encode("utf-8")
-            self._record_json_cache[row] = cached
-        return cached
+        keys = np.asarray(rows, dtype=np.int64).tolist()
+        cache = self._record_json_cache
+        missing = list(dict.fromkeys(r for r in keys if r not in cache))
+        if missing:
+            cache.update(zip(missing, self._encode_records(missing)))
+        return [cache[r] for r in keys]
 
-    def records_json(self, rows: np.ndarray) -> list[bytes]:
-        """Pre-encoded JSON fragments for a batch of rows."""
+    def _encode_records(self, rows: list[int]) -> list[bytes]:
+        """JSON fragments of :meth:`record` for ``rows``, field by field."""
+        claims = self.claims
+        idx = np.asarray(rows, dtype=np.int64)
+        columns = zip(
+            claims.provider_id[idx].tolist(),
+            claims.cell[idx].tolist(),
+            claims.technology[idx].tolist(),
+            _STATE_JSON[claims.state_idx[idx]].tolist(),
+            _json_floats(self.score[idx]),
+            _json_floats(self.margin[idx]),
+            _json_floats(self.percentile[idx]),
+            self.sus_rank[idx].tolist(),
+            claims.claimed_count[idx].tolist(),
+            _json_floats(claims.max_download_mbps[idx]),
+            _json_floats(claims.max_upload_mbps[idx]),
+            claims.low_latency[idx].tolist(),
+        )
         return [
-            self.record_json(int(r)) for r in np.asarray(rows, dtype=np.int64)
+            f'{{"provider_id": {p}, "cell": {c}, "technology": {t}, '
+            f'"state": {st}, "score": {sc}, "margin": {m}, '
+            f'"percentile": {pc}, "rank": {rk}, "claimed_count": {n}, '
+            f'"max_download_mbps": {dn}, "max_upload_mbps": {up}, '
+            f'"low_latency": {_BOOL_JSON[ll]}, "precomputed": true}}'.encode()
+            for p, c, t, st, sc, m, pc, rk, n, dn, up, ll in columns
         ]
 
     def margin_percentile(self, margin) -> np.ndarray:

@@ -6,7 +6,11 @@ import http.client
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.fcc.bdc import ClaimColumns
+from repro.fcc.states import STATES
 from repro.serve import AuditService, ClaimScoreStore
 from repro.serve.http import DEFAULT_PAGE_LIMIT, MAX_RESULT_ROWS
 from repro.serve.schemas import decode_cursor, encode_cursor
@@ -358,6 +362,114 @@ def test_record_json_matches_json_dumps(served, tiny_score_store):
         assert store.record_json(row) is store.record_json(row)
     assert store.records_json(np.array(rows)) == [
         store.record_json(r) for r in rows
+    ]
+
+
+#: Floats where JSON spelling is easy to get wrong: non-finite values,
+#: signed zero, subnormals, and either side of ``repr``'s switch to
+#: exponent notation (at 1e16 and below 1e-4).
+_EDGE_FLOATS = (
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+    2.225073858507201e-308, 1e16, 9999999999999998.0, 1e15, 1e-4,
+    9.999999999999999e-05, 1e-5, 0.1, 100.0, -1.5,
+)
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+def _synthetic_store(table: list[dict]) -> ClaimScoreStore:
+    """A store whose every record field is given per row (no model)."""
+    n = len(table)
+
+    def arr(name, dtype):
+        return np.array([row[name] for row in table], dtype=dtype)
+
+    claims = ClaimColumns(
+        provider_id=arr("provider_id", np.int64),
+        cell=arr("cell", np.uint64),
+        technology=arr("technology", np.int16),
+        claimed_count=arr("claimed_count", np.int64),
+        max_download_mbps=arr("max_download_mbps", np.float64),
+        max_upload_mbps=arr("max_upload_mbps", np.float64),
+        low_latency=arr("low_latency", bool),
+        state_idx=arr("state_idx", np.int16),
+    )
+    return ClaimScoreStore._from_saved_arrays(
+        claims,
+        arr("margin", np.float64),
+        {
+            "score": arr("score", np.float64),
+            "sus_order": np.arange(n, dtype=np.int64),
+            "sus_rank": arr("rank", np.int64),
+            "sorted_margin": np.sort(arr("margin", np.float64)),
+            "percentile": arr("percentile", np.float64),
+        },
+    )
+
+
+_RECORD_ROW = st.fixed_dictionaries(
+    {
+        "provider_id": _INT64,
+        "cell": st.one_of(
+            st.sampled_from([0, 2**63 - 1, 2**63, 2**64 - 1]),
+            st.integers(0, 2**64 - 1),
+        ),
+        "technology": st.integers(-(2**15), 2**15 - 1),
+        "state_idx": st.integers(0, len(STATES) - 1),
+        "score": _FLOATS,
+        "margin": _FLOATS,
+        "percentile": _FLOATS,
+        "rank": _INT64,
+        "claimed_count": _INT64,
+        "max_download_mbps": _FLOATS,
+        "max_upload_mbps": _FLOATS,
+        "low_latency": st.booleans(),
+    }
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), table=st.lists(_RECORD_ROW, min_size=1, max_size=12))
+def test_records_json_matches_json_dumps_property(data, table):
+    """The column-wise encoder is byte-identical to its oracle,
+    ``json.dumps(record(row))``, on drawn records: every edge float, cells
+    past 2**63, both latency flags, duplicate rows, an empty request and
+    a request whose rows are partly cached already."""
+    store = _synthetic_store(table)
+    index = st.integers(0, len(table) - 1)
+    cached_first = data.draw(st.lists(index, max_size=len(table)))
+    rows = np.array(data.draw(st.lists(index, max_size=24)), dtype=np.int64)
+
+    def oracle(picked):
+        return [json.dumps(store.record(int(r))).encode("utf-8") for r in picked]
+
+    assert store.records_json(np.array(cached_first, dtype=np.int64)) == oracle(
+        cached_first
+    )
+    assert store.records_json(rows) == oracle(rows)
+    assert store.records_json(np.empty(0, dtype=np.int64)) == []
+    for row in rows.tolist():
+        assert store.record_json(row) is store.record_json(row)
+
+
+def test_records_json_spells_every_state():
+    """One record per state index: each state encodes as its abbreviation."""
+    base = {
+        "provider_id": 1, "cell": 2**63 + 5, "technology": 50, "score": 0.5,
+        "margin": 0.0, "percentile": 50.0, "rank": 0, "claimed_count": 3,
+        "max_download_mbps": 100.0, "max_upload_mbps": 20.0,
+    }
+    table = [
+        {**base, "state_idx": i, "low_latency": bool(i % 2)}
+        for i in range(len(STATES))
+    ]
+    store = _synthetic_store(table)
+    rows = np.arange(len(STATES))
+    assert store.records_json(rows) == [
+        json.dumps(store.record(r)).encode("utf-8") for r in range(len(STATES))
+    ]
+    assert [json.loads(f)["state"] for f in store.records_json(rows)] == [
+        s.abbr for s in STATES
     ]
 
 
